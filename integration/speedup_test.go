@@ -66,9 +66,12 @@ func TestParallelSpeedup(t *testing.T) {
 		}
 	})
 	bandedStack := bestOf(3, func() {
-		if _, err := sweep.ShardRun(tr, block, sets, workers, nil); err != nil {
+		z, err := sweep.NewShardStream(block, sets, workers, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		tr.Replay(z)
+		z.Pass()
 	})
 	stackUp := float64(serialStack) / float64(bandedStack)
 

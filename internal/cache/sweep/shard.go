@@ -9,10 +9,9 @@ import (
 )
 
 // This file shards ONE Mattson stack pass across workers by cache set
-// index, the same contiguous-band partition cache.ShardSimulate uses
-// for replays. Per-set LRU stacks are fully independent — a lookup
-// ages only its own set's stack — so W workers can each walk the full
-// trace restricted to a band of sets and produce per-band distance
+// index. Per-set LRU stacks are fully independent — a lookup ages only
+// its own set's stack — so W workers can each walk the full trace
+// restricted to a band of sets and produce per-band distance
 // histograms whose elementwise sum is bit-identical to the serial
 // pass's (every block lookup lands in exactly one band, at exactly the
 // depth the serial stack gives it). Cold counts and group counts merge
@@ -48,7 +47,7 @@ type bandClaim struct {
 
 // bandStream is a StreamPass restricted to the cache sets [lo, hi):
 // only block lookups whose set falls in the band touch the stacks,
-// with the same O(1)-per-crossing skip-ahead Cache.RunSets uses. It
+// with an O(1)-per-crossing skip-ahead over out-of-band blocks. It
 // records per-run exec claims instead of folding them into the
 // difference arrays, so mergeBands can reconstruct the exact global
 // step function.
@@ -243,55 +242,19 @@ func shardBands(numSets, workers int) [][2]uint32 {
 	return bands
 }
 
-// ShardRun performs one stack pass over tr with the cache sets
-// partitioned across `workers` parallel workers, returning a StackPass
-// whose every derived statistic is bit-identical to Run's. Worker
-// counts below 2 (and single-set geometries) fall back to the serial
-// pass transparently. When reg (which may be nil) has a tracer, each
-// worker's walk appears on a shard-worker-N lane.
-func ShardRun(tr *memtrace.Trace, blockBytes, numSets, workers int, reg *obs.Registry) (*StackPass, error) {
-	bounds := shardBands(numSets, workers)
-	if bounds == nil {
-		return Run(tr, blockBytes, numSets)
-	}
-	if _, err := NewStream(blockBytes, numSets); err != nil {
-		return nil, err
-	}
-	bands := make([]*bandStream, len(bounds))
-	var wg sync.WaitGroup
-	for wk := range bands {
-		b := newBandStream(blockBytes, numSets, bounds[wk][0], bounds[wk][1])
-		bands[wk] = b
-		wg.Add(1)
-		go func(wk int) {
-			defer wg.Done()
-			lane := reg.NewLane(fmt.Sprintf("shard-worker-%d", wk))
-			sp := reg.SpanOn(lane, "sweep/shard")
-			sp.SetAttrInt("sets_lo", int64(b.lo))
-			sp.SetAttrInt("sets_hi", int64(b.hi))
-			for _, r := range tr.Runs {
-				b.Run(r)
-			}
-			sp.End()
-		}(wk)
-	}
-	wg.Wait()
-	return mergeBands(bands), nil
-}
-
 // shardSlabRuns batches runs between the streaming producer and the
 // band workers; one channel send per slab keeps the per-run overhead
 // negligible.
 const shardSlabRuns = 1024
 
-// ShardStream is the streaming form of the sharded stack pass: a
-// memtrace.Sink that broadcasts canonical runs to one band worker per
-// set band, so a trace generated live or read from a file is swept in
-// parallel without being materialized. With fewer than two effective
-// bands (workers < 2, or a single-set geometry) it degrades to exactly
-// the serial StreamPass — the Run path is a single forwarded call with
-// no extra allocations. One-shot: after Pass returns, further Run
-// calls are not allowed.
+// ShardStream is the sharded stack pass: a memtrace.Sink that
+// broadcasts canonical runs to one band worker per set band, so a trace
+// generated live, read from a file or replayed from memory is swept in
+// parallel without being materialized again. With fewer than two
+// effective bands (workers < 2, or a single-set geometry) it degrades
+// to exactly the serial StreamPass — the Run path is a single
+// forwarded call with no extra allocations. One-shot: after Pass
+// returns, further Run calls are not allowed.
 type ShardStream struct {
 	serial *StreamPass
 	bands  []*bandStream

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"impact/internal/cache"
+	"impact/internal/memtrace"
 )
 
 // equalDerived fails unless every statistic derivable from the two
@@ -44,6 +45,21 @@ var shardGeoms = []struct{ block, sets int }{
 	{32, 8}, {16, 32}, {128, 4},
 }
 
+// shardPass streams tr through a ShardStream over `workers` band
+// workers and returns the merged pass.
+func shardPass(t *testing.T, tr *memtrace.Trace, block, sets, workers int) *StackPass {
+	t.Helper()
+	s, err := NewShardStream(block, sets, workers, nil)
+	if err != nil {
+		t.Fatalf("NewShardStream(%d, %d sets, %d workers): %v", block, sets, workers, err)
+	}
+	tr.Replay(s)
+	return s.Pass()
+}
+
+// TestShardRunMatchesSerial runs whole traces through the banded stack
+// pass across the paper's geometries and several worker counts; every
+// derived statistic must equal the serial pass's.
 func TestShardRunMatchesSerial(t *testing.T) {
 	for _, g := range shardGeoms {
 		tr := genTrace(uint64(g.block*1000+g.sets), 2500)
@@ -52,68 +68,7 @@ func TestShardRunMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 4, 7, 16} {
-			got, err := ShardRun(tr, g.block, g.sets, workers, nil)
-			if err != nil {
-				t.Fatalf("ShardRun(%d sets, %d workers): %v", g.sets, workers, err)
-			}
-			equalDerived(t, want, got)
-		}
-	}
-}
-
-func TestShardRunStats(t *testing.T) {
-	// End to end against the sequential simulator across Table 8's
-	// associativity column (32/16/8 sets at 2KB) in one sharded pass
-	// per geometry.
-	tr := genTrace(97, 3000)
-	for _, tc := range []struct{ sets, assoc int }{{32, 1}, {16, 2}, {8, 4}} {
-		p, err := ShardRun(tr, 64, tc.sets, 4, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffConfig(t, p, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: tc.assoc}, tr)
-		diffConfig(t, p, cache.Config{SizeBytes: 4096, BlockBytes: 64, Assoc: 2 * tc.assoc}, tr)
-	}
-}
-
-func TestShardRunSerialFallback(t *testing.T) {
-	tr := genTrace(5, 800)
-	want, err := Run(tr, 64, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// workers < 2 and single-set geometries take the exact serial code
-	// path: the result is structurally identical, difference arrays
-	// included.
-	for _, workers := range []int{0, 1} {
-		got, err := ShardRun(tr, 64, 8, workers, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d fallback differs from serial pass", workers)
-		}
-	}
-	want1, err := Run(tr, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got1, err := ShardRun(tr, 64, 1, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want1, got1) {
-		t.Fatal("single-set geometry did not fall back to the serial pass")
-	}
-}
-
-func TestShardRunRejectsBadGeometry(t *testing.T) {
-	tr := genTrace(17, 10)
-	for _, tc := range []struct{ block, sets int }{
-		{0, 2}, {3, 2}, {512, 2}, {64, 6},
-	} {
-		if _, err := ShardRun(tr, tc.block, tc.sets, 2, nil); err == nil {
-			t.Errorf("ShardRun(%d, %d) accepted", tc.block, tc.sets)
+			equalDerived(t, want, shardPass(t, tr, g.block, g.sets, workers))
 		}
 	}
 }
@@ -147,6 +102,51 @@ func TestShardStreamMatchesSerial(t *testing.T) {
 	}
 }
 
+func TestShardStreamStats(t *testing.T) {
+	// End to end against the sequential simulator across Table 8's
+	// associativity column (32/16/8 sets at 2KB) in one sharded pass
+	// per geometry.
+	tr := genTrace(97, 3000)
+	for _, tc := range []struct{ sets, assoc int }{{32, 1}, {16, 2}, {8, 4}} {
+		p := shardPass(t, tr, 64, tc.sets, 4)
+		diffConfig(t, p, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: tc.assoc}, tr)
+		diffConfig(t, p, cache.Config{SizeBytes: 4096, BlockBytes: 64, Assoc: 2 * tc.assoc}, tr)
+	}
+}
+
+func TestShardStreamSerialFallback(t *testing.T) {
+	tr := genTrace(5, 800)
+	want, err := Run(tr, 64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// workers < 2 and single-set geometries take the exact serial code
+	// path: the result is structurally identical, difference arrays
+	// included.
+	for _, workers := range []int{0, 1} {
+		if got := shardPass(t, tr, 64, 8, workers); !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d fallback differs from serial pass", workers)
+		}
+	}
+	want1, err := Run(tr, 64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got1 := shardPass(t, tr, 64, 1, 8); !reflect.DeepEqual(want1, got1) {
+		t.Fatal("single-set geometry did not fall back to the serial pass")
+	}
+}
+
+func TestShardRunRejectsBadGeometry(t *testing.T) {
+	for _, tc := range []struct{ block, sets int }{
+		{0, 2}, {3, 2}, {512, 2}, {64, 6},
+	} {
+		if _, err := NewShardStream(tc.block, tc.sets, 2, nil); err == nil {
+			t.Errorf("NewShardStream(%d, %d) accepted", tc.block, tc.sets)
+		}
+	}
+}
+
 func TestShardStreamRejectsBadGeometry(t *testing.T) {
 	if _, err := NewShardStream(3, 8, 2, nil); err == nil {
 		t.Error("bad block size accepted")
@@ -174,9 +174,9 @@ func TestShardStreamSerialZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestShardStress drives both sharded entry points concurrently; its
-// value is under `go test -race`, where it pins the worker pools'
-// memory discipline (shared read-only slabs, per-band private state).
+// TestShardStress drives concurrent sharded streams; its value is
+// under `go test -race`, where it pins the worker pools' memory
+// discipline (shared read-only slabs, per-band private state).
 func TestShardStress(t *testing.T) {
 	tr := genTrace(71, 1200)
 	want, err := Run(tr, 64, 16)
@@ -188,15 +188,6 @@ func TestShardStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if i%2 == 0 {
-				got, err := ShardRun(tr, 64, 16, 2+i, nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				equalDerived(t, want, got)
-				return
-			}
 			s, err := NewShardStream(64, 16, 2+i, nil)
 			if err != nil {
 				t.Error(err)
@@ -224,11 +215,6 @@ func FuzzShardBands(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ShardRun(tr, g.block, g.sets, w, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			equalDerived(t, want, got)
 			s, err := NewShardStream(g.block, g.sets, w, nil)
 			if err != nil {
 				t.Fatal(err)

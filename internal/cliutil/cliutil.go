@@ -14,6 +14,7 @@
 package cliutil
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -165,12 +166,32 @@ func (c *Common) MustClose() {
 }
 
 // AddWorkersFlag registers the shared -workers flag: the parallelism
-// cap for the measurement engine's pools (sharded replays, banded
-// stack passes, portfolio search). Zero means GOMAXPROCS; one forces
-// the exact serial code paths. Results are identical for every value —
-// the flag only trades wall-clock time.
+// cap for the measurement engine's trace passes, icsim's banded stack
+// pass and the portfolio search. Zero means GOMAXPROCS; one forces the
+// exact serial code paths; a negative count fails flag parsing.
+// Results are identical for every value — the flag only trades
+// wall-clock time.
 func AddWorkersFlag(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 0, "worker `count` for parallel measurement and search (0 = GOMAXPROCS, 1 = serial)")
+	n := new(int)
+	fs.Var((*workersValue)(n), "workers", "worker `count` for parallel measurement and search (0 = GOMAXPROCS, 1 = serial)")
+	return n
+}
+
+// workersValue is the -workers flag value: a non-negative count.
+type workersValue int
+
+func (w *workersValue) String() string { return strconv.Itoa(int(*w)) }
+
+func (w *workersValue) Set(s string) error {
+	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return errors.New("not an integer")
+	}
+	if n < 0 {
+		return fmt.Errorf("negative worker count %d (want 0 = GOMAXPROCS, 1 = serial, or more)", n)
+	}
+	*w = workersValue(n)
+	return nil
 }
 
 // CacheFlags holds the cache-geometry flags shared by every command

@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"flag"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -52,5 +53,58 @@ func TestCacheFlagsSizeList(t *testing.T) {
 	cf = parseCache(t, "-sizes", "512,x")
 	if _, err := cf.SizeList(); err == nil {
 		t.Fatal("bad -sizes entry not rejected")
+	}
+}
+
+func TestWorkersFlag(t *testing.T) {
+	tests := []struct {
+		name    string
+		args    []string
+		want    int
+		wantErr string
+	}{
+		{name: "default", want: 0},
+		{name: "serial", args: []string{"-workers", "1"}, want: 1},
+		{name: "explicit", args: []string{"-workers=8"}, want: 8},
+		{
+			name:    "negative",
+			args:    []string{"-workers", "-3"},
+			wantErr: `invalid value "-3" for flag -workers: negative worker count -3 (want 0 = GOMAXPROCS, 1 = serial, or more)`,
+		},
+		{
+			name:    "negative with equals",
+			args:    []string{"-workers=-7"},
+			wantErr: `invalid value "-7" for flag -workers: negative worker count -7 (want 0 = GOMAXPROCS, 1 = serial, or more)`,
+		},
+		{
+			name:    "not a number",
+			args:    []string{"-workers", "four"},
+			wantErr: `invalid value "four" for flag -workers: not an integer`,
+		},
+		{
+			name:    "missing value",
+			args:    []string{"-workers"},
+			wantErr: "flag needs an argument: -workers",
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("test", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			w := AddWorkersFlag(fs)
+			err := fs.Parse(tt.args)
+			if tt.wantErr != "" {
+				if err == nil || err.Error() != tt.wantErr {
+					t.Fatalf("parse %v: error %v, want %q", tt.args, err, tt.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("parse %v: %v", tt.args, err)
+			}
+			if *w != tt.want {
+				t.Errorf("parse %v: workers = %d, want %d", tt.args, *w, tt.want)
+			}
+		})
 	}
 }

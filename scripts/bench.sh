@@ -35,10 +35,10 @@
 # default pattern covers the table benchmarks, the BenchmarkAnalyze
 # family (static analyzer priced against the trace-driven simulator,
 # incremental re-analysis, and the page-level BenchmarkAnalyzePages), and
-# the streaming pair (BenchmarkStreamSimulate: generate-and-simulate
-# with no materialized trace; BenchmarkShardSimulate: the set-sharded
-# simulator), and the multi-core pair (BenchmarkStackPassSharded: the
-# banded stack pass; BenchmarkSearchParallel: the portfolio search).
+# the streaming benchmark (BenchmarkStreamSimulate: generate-and-
+# simulate with no materialized trace), and the multi-core pair
+# (BenchmarkStackPassSharded: the banded stack pass;
+# BenchmarkSearchParallel: the portfolio search).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -70,7 +70,7 @@ fi
 
 SCALE="${IMPACT_BENCH_SCALE:-0.25}"
 BENCHTIME="${BENCHTIME:-3x}"
-PATTERN="${1:-^Benchmark(Table|Analyze|Stream|Shard|Stack|Search)}"
+PATTERN="${1:-^Benchmark(Table|Analyze|Stream|Stack|Search)}"
 if [ "$MODE" = compare ]; then
     OUT="$(mktemp /tmp/bench.XXXXXX.json)"
 else
