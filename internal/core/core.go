@@ -12,10 +12,15 @@
 // spatial localities are maximised and cache mapping conflicts
 // minimised. Each step can be disabled independently (Strategy) for
 // the ablation experiments.
+//
+// Optimize is FrontEnd (steps 1-2) followed by BackEnd (steps 3-5).
+// The front end's output, Profiled, is immutable, so variants that
+// change only steps 3-5 share one front end instead of re-profiling.
 package core
 
 import (
 	"fmt"
+	"slices"
 
 	"impact/internal/analysis"
 	"impact/internal/check"
@@ -173,10 +178,53 @@ type Result struct {
 	Ledger *Ledger
 }
 
-// Optimize runs the configured pipeline steps on p.
+// Optimize runs the configured pipeline steps on p: the front end
+// (profile, inline, re-profile) followed by the back end (trace
+// selection, function and global layout, and the optional stages).
 func Optimize(p *ir.Program, cfg Config) (*Result, error) {
+	pf, err := FrontEnd(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return BackEnd(pf, cfg)
+}
+
+// Profiled is the pipeline's front end frozen into an immutable
+// artifact: the input program and its profile (step 1) and, when
+// inlining ran, the inlined program and its re-measured profile (step
+// 2). Steps 3-5 only read it, so any number of back-end variants —
+// other MIN_PROB thresholds, layout strategies, global orderings — can
+// share one artifact, concurrently, instead of re-profiling an
+// unchanged program. Nothing may modify it after FrontEnd returns.
+type Profiled struct {
+	// Input is the program the front end profiled; InputWeights is its
+	// profile.
+	Input        *ir.Program
+	InputWeights *profile.Weights
+	// Inlined is step 2's transformed program and InlinedWeights its
+	// re-measured profile; both are nil when the front end ran without
+	// inlining.
+	Inlined        *ir.Program
+	InlinedWeights *profile.Weights
+	// InlineReport describes step 2 (zero value without inlining).
+	InlineReport inline.Report
+
+	// The front-end configuration the artifact was built from; BackEnd
+	// refuses a config that disagrees with it rather than re-profile.
+	seeds  []uint64
+	interp interp.Config
+	inline inline.Config
+	check  check.Mode
+	// Verifier reports of the input and inline stages (nil when check
+	// is Off, or for inlineChecks when the front end did not inline).
+	inputChecks, inlineChecks *check.Report
+}
+
+// withDefaults validates cfg and fills in its zero-means-default
+// fields.
+func (cfg Config) withDefaults() (Config, error) {
 	if len(cfg.ProfileSeeds) == 0 {
-		return nil, fmt.Errorf("core: no profiling seeds configured")
+		return cfg, fmt.Errorf("core: no profiling seeds configured")
 	}
 	if cfg.MinProb == 0 {
 		cfg.MinProb = traceselect.DefaultMinProb
@@ -184,100 +232,180 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 	if cfg.Inline == (inline.Config{}) {
 		cfg.Inline = inline.DefaultConfig()
 	}
-	profCfg := profile.Config{Seeds: cfg.ProfileSeeds, Interp: cfg.Interp, Obs: cfg.Obs}
+	return cfg, nil
+}
 
+// verifier runs the internal/check analyzers of one pipeline stage
+// under a verification mode, timing each run as a "check" child of the
+// pipeline span.
+type verifier struct {
+	mode check.Mode
+	reg  *obs.Registry
+	pipe *obs.Span
+}
+
+// run verifies u and returns its report (nil when verification is
+// off); in Strict mode an error-severity diagnostic is returned as an
+// error.
+func (v verifier) run(u *check.Unit) (*check.Report, error) {
+	if v.mode == check.Off {
+		return nil, nil
+	}
+	vs := v.pipe.Span("check")
+	rep := check.Run(u, check.ForStage(u.Stage), v.reg)
+	vs.End()
+	if v.mode == check.Strict {
+		if err := rep.Err(); err != nil {
+			return nil, fmt.Errorf("core: %s stage failed verification: %w", u.Stage, err)
+		}
+	}
+	return rep, nil
+}
+
+// FrontEnd runs steps 1-2 on p: profiling and, when cfg.Strategy.Inline
+// is set, inline expansion and re-profiling of the inlined program. The
+// input and inline stages are verified here, once, under cfg.Check.
+// Only cfg's ProfileSeeds, Interp, Inline, Strategy.Inline, Check, Obs
+// and Lane are read.
+func FrontEnd(p *ir.Program, cfg Config) (*Profiled, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	pipe := cfg.Obs.SpanOn(cfg.Lane, "pipeline")
 	defer pipe.End()
-	cfg.Obs.Counter("pipeline.runs").Inc()
-
-	var led *Ledger
-	if cfg.Ledger {
-		led = &Ledger{}
-	}
-
-	// Pipeline verification (internal/check): each stage hands the
-	// verifier a Unit snapshot; in Strict mode an error-severity
-	// diagnostic aborts the run.
-	var checks *check.Report
-	if cfg.Check != check.Off {
-		checks = &check.Report{}
-	}
-	verify := func(u *check.Unit) error {
-		if cfg.Check == check.Off {
-			return nil
-		}
-		vs := pipe.Span("check")
-		rep := check.Run(u, check.ForStage(u.Stage), cfg.Obs)
-		vs.End()
-		checks.Merge(rep)
-		if cfg.Check == check.Strict {
-			if err := rep.Err(); err != nil {
-				return fmt.Errorf("core: %s stage failed verification: %w", u.Stage, err)
-			}
-		}
-		return nil
+	v := verifier{mode: cfg.Check, reg: cfg.Obs, pipe: pipe}
+	profCfg := profile.Config{Seeds: cfg.ProfileSeeds, Interp: cfg.Interp, Obs: cfg.Obs}
+	pf := &Profiled{
+		Input:  p,
+		seeds:  slices.Clone(cfg.ProfileSeeds),
+		interp: cfg.Interp,
+		inline: cfg.Inline,
+		check:  cfg.Check,
 	}
 
 	// Step 1: execution profiling.
 	sp := pipe.Span("profile")
-	origW, _, err := profile.Profile(p, profCfg)
+	pf.InputWeights, _, err = profile.Profile(p, profCfg)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling input program: %w", err)
 	}
-	if err := verify(&check.Unit{Stage: check.StageInput, Prog: p, Weights: origW}); err != nil {
+	pf.inputChecks, err = v.run(&check.Unit{Stage: check.StageInput, Prog: p, Weights: pf.InputWeights})
+	if err != nil {
 		return nil, err
 	}
-	led.capture("input", layout.Natural(p), origW)
-
-	// Step 2: function inline expansion.
-	prog := p
-	var inlineRep inline.Report
-	w := origW
-	if cfg.Strategy.Inline {
-		sp = pipe.Span("inline")
-		prog, inlineRep, err = inline.Expand(p, origW, cfg.Inline)
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("core: inline expansion: %w", err)
-		}
-		// Re-profile the transformed program with the same inputs;
-		// IMPACT-I instead propagates weights through the transform,
-		// which is equivalent but harder to verify (see DESIGN.md).
-		w, _, err = profile.Profile(prog, profCfg)
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: re-profiling inlined program: %w", err)
-		}
-		cfg.Obs.Counter("pipeline.inline.sites_inlined").Add(uint64(inlineRep.SitesInlined))
-		if err := verify(&check.Unit{
-			Stage: check.StageInline, Prog: prog, Weights: w,
-			Before: p, BeforeWeights: origW, Inline: &inlineRep,
-		}); err != nil {
-			return nil, err
-		}
+	if !cfg.Strategy.Inline {
+		return pf, nil
 	}
 
+	// Step 2: function inline expansion.
+	sp = pipe.Span("inline")
+	pf.Inlined, pf.InlineReport, err = inline.Expand(p, pf.InputWeights, cfg.Inline)
+	if err != nil {
+		sp.End()
+		return nil, fmt.Errorf("core: inline expansion: %w", err)
+	}
+	// Re-profile the transformed program with the same inputs;
+	// IMPACT-I instead propagates weights through the transform,
+	// which is equivalent but harder to verify (see DESIGN.md).
+	pf.InlinedWeights, _, err = profile.Profile(pf.Inlined, profCfg)
+	sp.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: re-profiling inlined program: %w", err)
+	}
+	cfg.Obs.Counter("pipeline.inline.sites_inlined").Add(uint64(pf.InlineReport.SitesInlined))
+	pf.inlineChecks, err = v.run(&check.Unit{
+		Stage: check.StageInline, Prog: pf.Inlined, Weights: pf.InlinedWeights,
+		Before: p, BeforeWeights: pf.InputWeights, Inline: &pf.InlineReport,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pf, nil
+}
+
+// accepts reports whether a back end configured by cfg (defaults
+// applied) can run on pf; the error says which front-end setting
+// disagrees.
+func (pf *Profiled) accepts(cfg Config) error {
+	switch {
+	case pf == nil:
+		return fmt.Errorf("core: back end given no front end")
+	case !slices.Equal(cfg.ProfileSeeds, pf.seeds):
+		return fmt.Errorf("core: config profile seeds %v differ from the front end's %v", cfg.ProfileSeeds, pf.seeds)
+	case cfg.Interp != pf.interp:
+		return fmt.Errorf("core: config interp %+v differs from the front end's %+v", cfg.Interp, pf.interp)
+	case cfg.Inline != pf.inline:
+		return fmt.Errorf("core: config inline %+v differs from the front end's %+v", cfg.Inline, pf.inline)
+	case cfg.Strategy.Inline && pf.Inlined == nil:
+		return fmt.Errorf("core: config enables inlining but the front end did not inline")
+	case cfg.Check > pf.check:
+		return fmt.Errorf("core: config check mode %v is stricter than the front end's %v", cfg.Check, pf.check)
+	}
+	return nil
+}
+
+// BackEnd runs steps 3-5 and the optional search, analysis and paging
+// stages on a front-end artifact. With cfg.Strategy.Inline it lays out
+// pf's inlined program, otherwise its input program. It never
+// profiles: a cfg whose front-end settings (ProfileSeeds, Interp,
+// Inline) differ from pf's, that asks for inlining pf did not do, or
+// that asks for stricter verification than pf had, is an error.
+func BackEnd(pf *Profiled, cfg Config) (*Result, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	if err := pf.accepts(cfg); err != nil {
+		return nil, err
+	}
+	pipe := cfg.Obs.SpanOn(cfg.Lane, "pipeline")
+	defer pipe.End()
+	cfg.Obs.Counter("pipeline.runs").Inc()
+	v := verifier{mode: cfg.Check, reg: cfg.Obs, pipe: pipe}
+
+	res := &Result{
+		Prog:        pf.Input,
+		Weights:     pf.InputWeights,
+		OrigWeights: pf.InputWeights,
+	}
+	if cfg.Strategy.Inline {
+		res.Prog, res.Weights, res.InlineReport = pf.Inlined, pf.InlinedWeights, pf.InlineReport
+	}
+	prog, w := res.Prog, res.Weights
+	res.TotalBytes = prog.Bytes()
+
+	// The front end's verifier reports lead, as if its stages had run
+	// here.
+	if cfg.Check != check.Off {
+		res.Checks = &check.Report{}
+		res.Checks.Merge(pf.inputChecks)
+		if cfg.Strategy.Inline {
+			res.Checks.Merge(pf.inlineChecks)
+		}
+	}
+	verify := func(u *check.Unit) error {
+		rep, err := v.run(u)
+		res.Checks.Merge(rep)
+		return err
+	}
+
+	if cfg.Ledger {
+		res.Ledger = &Ledger{}
+	}
+	led := res.Ledger
+	led.capture("input", layout.Natural(pf.Input), pf.InputWeights)
 	// After inlining the program still has its natural layout; the
 	// ledger row prices the code growth and the locality of the
 	// re-measured profile before any reordering. When inlining is
 	// disabled the row repeats "input" (zero delta).
 	led.capture("inline", layout.Natural(prog), w)
 
-	res := &Result{
-		Prog:         prog,
-		Weights:      w,
-		OrigWeights:  origW,
-		InlineReport: inlineRep,
-		TotalBytes:   prog.Bytes(),
-		Checks:       checks,
-		Ledger:       led,
-	}
-
 	// Step 3: trace selection. (Step 4 consumes only its own
 	// function's selection, so the two steps run as separate passes —
 	// which also gives each a clean timing span.)
-	sp = pipe.Span("traceselect")
+	sp := pipe.Span("traceselect")
 	res.Traces = make([]traceselect.Result, len(prog.Funcs))
 	res.Orders = make([]funclayout.Order, len(prog.Funcs))
 	var tracesFormed int
@@ -317,7 +445,7 @@ func Optimize(p *ir.Program, cfg Config) (*Result, error) {
 		if cfg.Strategy.TraceLayout {
 			res.Orders[f.ID] = funclayout.Layout(f, fw, &res.Traces[f.ID])
 		} else {
-			res.Orders[f.ID] = naturalOrder(f, fw)
+			res.Orders[f.ID] = naturalOrder(f)
 		}
 		for i, b := range res.Orders[f.ID].Blocks {
 			if b != ir.BlockID(i) {
@@ -511,13 +639,12 @@ func naturalTraces(f *ir.Function, fw *profile.FuncWeights) traceselect.Result {
 }
 
 // naturalOrder keeps declaration order with no effective split.
-func naturalOrder(f *ir.Function, fw *profile.FuncWeights) funclayout.Order {
+func naturalOrder(f *ir.Function) funclayout.Order {
 	o := funclayout.Order{Blocks: make([]ir.BlockID, len(f.Blocks))}
 	for i := range o.Blocks {
 		o.Blocks[i] = ir.BlockID(i)
 	}
 	o.EffectiveBlocks = len(o.Blocks)
-	_ = fw
 	return o
 }
 

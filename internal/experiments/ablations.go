@@ -61,8 +61,7 @@ func AblationLayout(s *Suite) ([]AblationLayoutRow, error) {
 
 		//lint:maprange results land in the traces map; rendering iterates LayoutStrategies
 		for name, st := range strategies {
-			ccfg := core.DefaultConfig(b.ProfileSeeds...)
-			ccfg.Interp = b.InterpConfig()
+			ccfg := p.cfg
 			ccfg.Strategy = st
 			_, tr, err := p.deriveOptimize("layout:"+name, ccfg)
 			if err != nil {
@@ -194,15 +193,13 @@ func AblationMinProb(s *Suite) ([]AblationMinProbRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
 	var out []AblationMinProbRow
 	for _, p := range s.Items {
-		b := p.Bench
 		row := AblationMinProbRow{
 			Name:      p.Name(),
 			Miss:      make(map[float64]float64),
 			Desirable: make(map[float64]float64),
 		}
 		for _, mp := range MinProbValues {
-			ccfg := core.DefaultConfig(b.ProfileSeeds...)
-			ccfg.Interp = b.InterpConfig()
+			ccfg := p.cfg
 			var res *core.Result
 			var tr *memtrace.Trace
 			var err error
@@ -254,8 +251,6 @@ func RenderAblationMinProb(rows []AblationMinProbRow) string {
 func AblationGlobal(s *Suite) (withDFS, withoutDFS float64, err error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
 	for _, p := range s.Items {
-		b := p.Bench
-
 		// With DFS: the prepared full-pipeline trace.
 		st, err := sharedEngine.Simulate(cfg2k, p.OptTrace)
 		if err != nil {
@@ -264,8 +259,7 @@ func AblationGlobal(s *Suite) (withDFS, withoutDFS float64, err error) {
 		withDFS += st.MissRatio()
 
 		// Without DFS: full pipeline minus the global order.
-		ccfg := core.DefaultConfig(b.ProfileSeeds...)
-		ccfg.Interp = b.InterpConfig()
+		ccfg := p.cfg
 		ccfg.Strategy = core.Strategy{Inline: true, TraceLayout: true, SplitCold: true}
 		_, tr, err := p.deriveOptimize("global:no-dfs", ccfg)
 		if err != nil {
@@ -358,15 +352,12 @@ func AblationGlobalAlgo(s *Suite) ([]AblationGlobalAlgoRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
 	var out []AblationGlobalAlgoRow
 	for _, p := range s.Items {
-		b := p.Bench
 		dfs, err := sharedEngine.Simulate(cfg2k, p.OptTrace)
 		if err != nil {
 			return nil, err
 		}
 
-		ccfg := core.DefaultConfig(b.ProfileSeeds...)
-		ccfg.Interp = b.InterpConfig()
-		ccfg.Strategy = core.FullStrategy()
+		ccfg := p.cfg
 		ccfg.Strategy.PettisHansen = true
 		_, tr, err := p.deriveOptimize("globalalgo:ph", ccfg)
 		if err != nil {

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"impact/internal/cache"
+	"impact/internal/check"
+	"impact/internal/workload"
 )
 
 func avgBy(rows []AblationLayoutRow, strategy string) float64 {
@@ -194,5 +196,48 @@ func TestAblationGlobalAlgo(t *testing.T) {
 	}
 	if out := RenderAblationGlobalAlgo(rows); !strings.Contains(out, "PH (1990)") {
 		t.Error("A6 rendering incomplete")
+	}
+}
+
+// TestDerivedRunsInheritCheckMode runs every table that derives
+// pipeline variants on a one-benchmark suite prepared under
+// check.Warn: each variant — back-end arms on the shared front end and
+// Table 9's code-scaled re-runs alike — must carry a verifier report.
+func TestDerivedRunsInheritCheckMode(t *testing.T) {
+	s, err := PrepareBenchmarksWith([]*workload.Benchmark{workload.ByName("tee", 0.05)}, Options{Check: check.Warn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AblationLayout(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AblationMinProb(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := AblationGlobal(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AblationGlobalAlgo(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Table9(s); err != nil {
+		t.Fatal(err)
+	}
+	p := s.Items[0]
+	var derived int
+	//lint:maprange order-free assertions over every memoized variant
+	for name, v := range p.derived {
+		if v.res == nil {
+			continue // layout:random has no pipeline run
+		}
+		derived++
+		if v.res.Checks == nil || v.res.Checks.Runs == 0 {
+			t.Errorf("%s: derived run was not verified", name)
+		}
+	}
+	// 3 layout strategies, 4 MIN_PROB points, no-DFS, Pettis-Hansen
+	// and 3 code scales.
+	if derived != 12 {
+		t.Errorf("%d derived pipeline runs, want 12", derived)
 	}
 }

@@ -35,6 +35,9 @@ import (
 // Prepared bundles one benchmark's pipeline outputs.
 type Prepared struct {
 	Bench *workload.Benchmark
+	// Front is the profiled front end (profile, inline, re-profile)
+	// shared by Opt and every derived back-end variant.
+	Front *core.Profiled
 	// Opt is the full-pipeline result (inlined program + layout).
 	Opt *core.Result
 	// OptTrace is the evaluation trace under the optimized layout.
@@ -46,6 +49,12 @@ type Prepared struct {
 	// OptRun / NatRun are the evaluation execution summaries.
 	OptRun interp.Result
 	NatRun interp.Result
+
+	// cfg is the benchmark's pipeline configuration without
+	// observability: the paper's defaults, its profiling seeds and
+	// interpreter budget, and the suite's verification mode. Derived
+	// runs copy it and tweak only back-end knobs.
+	cfg core.Config
 
 	// derived memoizes pipeline-variant outputs (ablation strategies,
 	// MIN_PROB sweeps, code scaling) keyed by variant name. The
@@ -99,20 +108,25 @@ func (p *Prepared) deriveTrace(variant string, build func() (*core.Result, *memt
 	return v.res, v.tr, v.err
 }
 
-// deriveOptimize is deriveTrace for the common shape: run the pipeline
-// with a tweaked config, then trace the evaluation run.
+// deriveOptimize is deriveTrace for the common shape: run the back end
+// with a tweaked config on the shared front end, then trace the
+// evaluation run. cfg must keep p.cfg's front-end settings.
 func (p *Prepared) deriveOptimize(variant string, cfg core.Config) (*core.Result, *memtrace.Trace, error) {
 	return p.deriveTrace(variant, func() (*core.Result, *memtrace.Trace, error) {
-		res, err := core.Optimize(p.Bench.Prog, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		tr, _, err := res.EvalTrace(p.Bench.EvalSeed, p.Bench.EvalConfig())
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, tr, nil
+		return p.traced(core.BackEnd(p.Front, cfg))
 	})
+}
+
+// traced pairs a pipeline variant's result with its evaluation trace.
+func (p *Prepared) traced(res *core.Result, err error) (*core.Result, *memtrace.Trace, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, _, err := res.EvalTrace(p.Bench.EvalSeed, p.Bench.EvalConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, tr, nil
 }
 
 // Name returns the benchmark name.
@@ -275,13 +289,18 @@ func PrepareBenchmarksWith(benchmarks []*workload.Benchmark, opts Options) (*Sui
 }
 
 func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, error) {
-	cfg := core.DefaultConfig(b.ProfileSeeds...)
-	cfg.Interp = b.InterpConfig()
+	base := core.DefaultConfig(b.ProfileSeeds...)
+	base.Interp = b.InterpConfig()
+	base.Check = opts.Check
+	cfg := base
 	cfg.Obs = opts.Obs
-	cfg.Check = opts.Check
 	cfg.Lane = lane
 	cfg.Ledger = opts.Ledger
-	res, err := core.Optimize(b.Prog, cfg)
+	front, err := core.FrontEnd(b.Prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.BackEnd(front, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -321,11 +340,13 @@ func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, 
 	}
 	return &Prepared{
 		Bench:    b,
+		Front:    front,
 		Opt:      res,
 		OptTrace: optTr,
 		NatTrace: natTr,
 		OptRun:   optRun,
 		NatRun:   natRun,
+		cfg:      base,
 	}, nil
 }
 

@@ -47,25 +47,13 @@ func Table9(s *Suite) ([]Table9Row, error) {
 // would replay the whole evaluation interpreter for an identical
 // trace.
 func scaleResult(p *Prepared, factor float64) (CacheResult, error) {
-	b := p.Bench
 	var tr *memtrace.Trace
 	if factor == 1.0 {
 		tr = p.OptTrace
 	} else {
 		var err error
 		_, tr, err = p.deriveTrace(fmt.Sprintf("scale:%g", factor), func() (*core.Result, *memtrace.Trace, error) {
-			scaled := ir.ScaleCode(b.Prog, factor)
-			cfg := core.DefaultConfig(b.ProfileSeeds...)
-			cfg.Interp = b.InterpConfig()
-			res, err := core.Optimize(scaled, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			tr, _, err := res.EvalTrace(b.EvalSeed, b.EvalConfig())
-			if err != nil {
-				return nil, nil, err
-			}
-			return res, tr, nil
+			return p.traced(core.Optimize(ir.ScaleCode(p.Bench.Prog, factor), p.cfg))
 		})
 		if err != nil {
 			return CacheResult{}, err
