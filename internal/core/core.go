@@ -15,7 +15,9 @@
 //
 // Optimize is FrontEnd (steps 1-2) followed by BackEnd (steps 3-5).
 // The front end's output, Profiled, is immutable, so variants that
-// change only steps 3-5 share one front end instead of re-profiling.
+// change only steps 3-5 share one front end instead of re-profiling,
+// and FrontEndFrom derives the profiles of a program with the same
+// control skeleton (a code-scaled copy) from it.
 package core
 
 import (
@@ -218,6 +220,11 @@ type Profiled struct {
 	// Verifier reports of the input and inline stages (nil when check
 	// is Off, or for inlineChecks when the front end did not inline).
 	inputChecks, inlineChecks *check.Report
+	// Per-run interpreter results of the input and inlined profiling
+	// passes; FrontEndFrom needs them to rule out the step cap. Nil
+	// when the pass was derived rather than run, so a derived pass
+	// cannot seed another derivation.
+	inputRuns, inlinedRuns []interp.Result
 }
 
 // withDefaults validates cfg and fills in its zero-means-default
@@ -272,10 +279,57 @@ func FrontEnd(p *ir.Program, cfg Config) (*Profiled, error) {
 	if err != nil {
 		return nil, err
 	}
+	return frontEnd(nil, p, cfg)
+}
+
+// FrontEndFrom is FrontEnd for a program q that may share base's control
+// skeleton, such as a code-scaled copy of base.Input (Table 9). Each
+// profiling pass is derived from base's matching pass when
+// profile.Derive proves that exact, and runs the interpreter otherwise.
+// Inline decisions depend on code size, so q is always re-inlined; the
+// inlined profile is derived only when the two inlined programs'
+// skeletons match. The result equals FrontEnd(q, cfg) in every exported
+// field and verifier report. A base built with other ProfileSeeds,
+// Interp or Inline settings is an error.
+func FrontEndFrom(base *Profiled, q *ir.Program, cfg Config) (*Profiled, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	if base == nil {
+		return nil, fmt.Errorf("core: front end given no base artifact")
+	}
+	if err := base.sameProfiling(cfg); err != nil {
+		return nil, err
+	}
+	return frontEnd(base, q, cfg)
+}
+
+// frontEnd is the body of FrontEnd and FrontEndFrom; base is nil for a
+// plain front end. cfg has its defaults applied.
+func frontEnd(base *Profiled, p *ir.Program, cfg Config) (*Profiled, error) {
 	pipe := cfg.Obs.SpanOn(cfg.Lane, "pipeline")
 	defer pipe.End()
 	v := verifier{mode: cfg.Check, reg: cfg.Obs, pipe: pipe}
 	profCfg := profile.Config{Seeds: cfg.ProfileSeeds, Interp: cfg.Interp, Obs: cfg.Obs}
+	// A plain front end has no base, and every pass runs the
+	// interpreter.
+	derive := base != nil
+	if !derive {
+		base = &Profiled{}
+	}
+	// profileOf measures prog's profile, deriving it from the base
+	// artifact's pass (from, fromW, fromRuns) when that is exact.
+	profileOf := func(prog, from *ir.Program, fromW *profile.Weights, fromRuns []interp.Result) (*profile.Weights, []interp.Result, error) {
+		if derive {
+			if w, err := profile.Derive(from, fromW, fromRuns, prog, cfg.Interp); err == nil {
+				cfg.Obs.Counter("pipeline.profile.derived").Inc()
+				return w, nil, nil
+			}
+			cfg.Obs.Counter("pipeline.profile.fallback").Inc()
+		}
+		return profile.Profile(prog, profCfg)
+	}
 	pf := &Profiled{
 		Input:  p,
 		seeds:  slices.Clone(cfg.ProfileSeeds),
@@ -286,7 +340,8 @@ func FrontEnd(p *ir.Program, cfg Config) (*Profiled, error) {
 
 	// Step 1: execution profiling.
 	sp := pipe.Span("profile")
-	pf.InputWeights, _, err = profile.Profile(p, profCfg)
+	var err error
+	pf.InputWeights, pf.inputRuns, err = profileOf(p, base.Input, base.InputWeights, base.inputRuns)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling input program: %w", err)
@@ -309,7 +364,7 @@ func FrontEnd(p *ir.Program, cfg Config) (*Profiled, error) {
 	// Re-profile the transformed program with the same inputs;
 	// IMPACT-I instead propagates weights through the transform,
 	// which is equivalent but harder to verify (see DESIGN.md).
-	pf.InlinedWeights, _, err = profile.Profile(pf.Inlined, profCfg)
+	pf.InlinedWeights, pf.inlinedRuns, err = profileOf(pf.Inlined, base.Inlined, base.InlinedWeights, base.inlinedRuns)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: re-profiling inlined program: %w", err)
@@ -325,19 +380,32 @@ func FrontEnd(p *ir.Program, cfg Config) (*Profiled, error) {
 	return pf, nil
 }
 
-// accepts reports whether a back end configured by cfg (defaults
-// applied) can run on pf; the error says which front-end setting
-// disagrees.
-func (pf *Profiled) accepts(cfg Config) error {
+// sameProfiling reports whether pf was profiled under cfg's (defaults
+// applied) ProfileSeeds, Interp and Inline settings; the error says
+// which one disagrees.
+func (pf *Profiled) sameProfiling(cfg Config) error {
 	switch {
-	case pf == nil:
-		return fmt.Errorf("core: back end given no front end")
 	case !slices.Equal(cfg.ProfileSeeds, pf.seeds):
 		return fmt.Errorf("core: config profile seeds %v differ from the front end's %v", cfg.ProfileSeeds, pf.seeds)
 	case cfg.Interp != pf.interp:
 		return fmt.Errorf("core: config interp %+v differs from the front end's %+v", cfg.Interp, pf.interp)
 	case cfg.Inline != pf.inline:
 		return fmt.Errorf("core: config inline %+v differs from the front end's %+v", cfg.Inline, pf.inline)
+	}
+	return nil
+}
+
+// accepts reports whether a back end configured by cfg (defaults
+// applied) can run on pf; the error says which front-end setting
+// disagrees.
+func (pf *Profiled) accepts(cfg Config) error {
+	if pf == nil {
+		return fmt.Errorf("core: back end given no front end")
+	}
+	if err := pf.sameProfiling(cfg); err != nil {
+		return err
+	}
+	switch {
 	case cfg.Strategy.Inline && pf.Inlined == nil:
 		return fmt.Errorf("core: config enables inlining but the front end did not inline")
 	case cfg.Check > pf.check:

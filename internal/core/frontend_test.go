@@ -7,6 +7,7 @@ import (
 
 	"impact/internal/check"
 	"impact/internal/core/inline"
+	"impact/internal/ir"
 	"impact/internal/memtrace"
 	"impact/internal/obs"
 	"impact/internal/workload"
@@ -246,7 +247,8 @@ func TestBackEndMatchesOptimize(t *testing.T) {
 
 // TestBackEndNeverProfiles pins the point of the split: a back-end run
 // executes no interpreter run, while its front end does one per
-// profiling seed and pass.
+// profiling seed and pass. A front end derived from it for a program
+// with the same control skeleton runs none either.
 func TestBackEndNeverProfiles(t *testing.T) {
 	p := testProgram(t)
 	cfg := DefaultConfig(seeds(4)...)
@@ -255,8 +257,20 @@ func TestBackEndNeverProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.Obs.Snapshot().Counters["interp.runs"]; got != 8 {
-		t.Fatalf("front end interp.runs = %d, want 8 (4 seeds, profile and re-profile)", got)
+	if runs, derived, fallback := profileCounts(cfg.Obs); runs != 8 || derived != 0 || fallback != 0 {
+		t.Fatalf("front end interp.runs = %d, %d derived, %d fallback; want 8 (4 seeds, profile and re-profile), 0, 0",
+			runs, derived, fallback)
+	}
+
+	cfg.Obs = obs.NewRegistry()
+	if _, err := FrontEndFrom(pf, ir.ScaleCode(p, 0.7), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if runs, derived, fallback := profileCounts(cfg.Obs); runs != 0 || derived != 2 || fallback != 0 {
+		t.Errorf("derived front end interp.runs = %d, %d derived, %d fallback; want 0, 2, 0", runs, derived, fallback)
+	}
+	if cfg.Obs.Snapshot().Spans["pipeline/profile"].Count != 1 {
+		t.Error("derived input pass not recorded under pipeline/profile")
 	}
 
 	cfg.Obs = obs.NewRegistry()

@@ -41,7 +41,10 @@ func Table9(s *Suite) ([]Table9Row, error) {
 }
 
 // scaleResult runs the full pipeline and the 2KB/64B partial-loading
-// measurement on a code-scaled copy of the benchmark. Pipeline re-runs
+// measurement on a code-scaled copy of the benchmark. Scaling keeps the
+// control skeleton, so the front end derives the scaled program's
+// profiles from the benchmark's own (core.FrontEndFrom) and profiles
+// only when that derivation is not provably exact. Pipeline re-runs
 // and evaluation traces are memoized per (benchmark, factor); factor
 // 1.0 is the prepared state itself, trace included — re-deriving it
 // would replay the whole evaluation interpreter for an identical
@@ -53,7 +56,11 @@ func scaleResult(p *Prepared, factor float64) (CacheResult, error) {
 	} else {
 		var err error
 		_, tr, err = p.deriveTrace(fmt.Sprintf("scale:%g", factor), func() (*core.Result, *memtrace.Trace, error) {
-			return p.traced(core.Optimize(ir.ScaleCode(p.Bench.Prog, factor), p.cfg))
+			front, err := core.FrontEndFrom(p.Front, ir.ScaleCode(p.Bench.Prog, factor), p.cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			return p.traced(core.BackEnd(front, p.cfg))
 		})
 		if err != nil {
 			return CacheResult{}, err

@@ -11,10 +11,13 @@ import "math"
 // to the nearest integer value."
 //
 // Control-relevant instructions (call, ret, branch, jump) are
-// preserved exactly so the program's control behaviour — and therefore
-// its dynamic block trace — is unchanged; only the code footprint
-// changes, exactly as a denser or sparser instruction encoding would
-// behave.
+// preserved exactly so the program's control behaviour is unchanged;
+// only the code footprint changes, exactly as a denser or sparser
+// instruction encoding would behave. The dynamic block trace is the
+// same only while the interpreter's step cap does not fire: the cap
+// counts instructions, so a scaled-up program can stop earlier than
+// its base (cmp at factor 1.1 and suite scale 0.1 is capped, while
+// the unscaled cmp completes).
 func ScaleCode(p *Program, factor float64) *Program {
 	if factor <= 0 {
 		panic("ir: ScaleCode with non-positive factor")
