@@ -225,11 +225,11 @@ func TestSemanticsPreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := func(seed uint64) bool {
-		before, err := interp.NewEngine(p).Run(seed, interp.Config{}, interp.NopSink{})
+		before, err := interp.NewEngine(p).Run(seed, interp.Config{}, nil, nil, nil)
 		if err != nil {
 			return false
 		}
-		after, err := interp.NewEngine(np).Run(seed, interp.Config{}, interp.NopSink{})
+		after, err := interp.NewEngine(np).Run(seed, interp.Config{}, nil, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -317,7 +317,7 @@ func TestSplitBlockKeepsLaterSites(t *testing.T) {
 		}
 	}
 	// Execution still runs all of A's and B's filler.
-	res, err := interp.NewEngine(np).Run(1, interp.Config{}, interp.NopSink{})
+	res, err := interp.NewEngine(np).Run(1, interp.Config{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestInlineCallAsFirstInstruction(t *testing.T) {
 	if len(head.Instrs) != 0 {
 		t.Fatalf("head block has %d instrs, want 0 (call was first)", len(head.Instrs))
 	}
-	res, err := interp.NewEngine(np).Run(1, interp.Config{}, interp.NopSink{})
+	res, err := interp.NewEngine(np).Run(1, interp.Config{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestInlineCalleeWithMultipleExits(t *testing.T) {
 	// check both arms are reachable over several seeds.
 	short, long := false, false
 	for s := uint64(0); s < 30; s++ {
-		res, err := interp.NewEngine(np).Run(s, interp.Config{}, interp.NopSink{})
+		res, err := interp.NewEngine(np).Run(s, interp.Config{}, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,10 @@ func AblationLayout(s *Suite) ([]AblationLayoutRow, error) {
 		traces := map[string]*memtrace.Trace{"natural": p.NatTrace, "full": p.OptTrace}
 
 		_, rndTr, err := p.deriveTrace("layout:random", func() (*core.Result, *memtrace.Trace, error) {
-			tr, _, err := layout.Trace(layout.Random(b.Prog, 0xAB1), b.EvalSeed, b.EvalConfig())
+			tr, run, err := layout.Trace(layout.Random(b.Prog, 0xAB1), b.EvalSeed, b.EvalConfig())
+			if err == nil {
+				err = p.variantCapError("layout:random", run)
+			}
 			return nil, tr, err
 		})
 		if err != nil {

@@ -113,20 +113,46 @@ func (p *Prepared) deriveTrace(variant string, build func() (*core.Result, *memt
 // evaluation run. cfg must keep p.cfg's front-end settings.
 func (p *Prepared) deriveOptimize(variant string, cfg core.Config) (*core.Result, *memtrace.Trace, error) {
 	return p.deriveTrace(variant, func() (*core.Result, *memtrace.Trace, error) {
-		return p.traced(core.BackEnd(p.Front, cfg))
+		res, err := core.BackEnd(p.Front, cfg)
+		return p.traced(variant, res, err)
 	})
 }
 
 // traced pairs a pipeline variant's result with its evaluation trace.
-func (p *Prepared) traced(res *core.Result, err error) (*core.Result, *memtrace.Trace, error) {
+func (p *Prepared) traced(variant string, res *core.Result, err error) (*core.Result, *memtrace.Trace, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, _, err := res.EvalTrace(p.Bench.EvalSeed, p.Bench.EvalConfig())
+	tr, run, err := res.EvalTrace(p.Bench.EvalSeed, p.Bench.EvalConfig())
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := p.variantCapError(variant, run); err != nil {
 		return nil, nil, err
 	}
 	return res, tr, nil
+}
+
+// capError is the strict verdict on an evaluation run: under
+// check.Strict a run that hit the instruction cap is an error naming
+// what was traced, the cap and the executed count. A capped trace is
+// truncated, and simulating it would still print a plausible-looking
+// miss ratio. Other modes accept the run.
+func (p *Prepared) capError(what string, run interp.Result) error {
+	if run.Completed || p.cfg.Check != check.Strict {
+		return nil
+	}
+	return fmt.Errorf("%s: evaluation run hit the instruction cap %d after %d instructions",
+		what, p.Bench.EvalConfig().MaxSteps, run.Instrs)
+}
+
+// variantCapError is capError for a derived variant's evaluation run,
+// qualified with the benchmark name.
+func (p *Prepared) variantCapError(variant string, run interp.Result) error {
+	if err := p.capError("variant "+variant, run); err != nil {
+		return fmt.Errorf("experiments: %s: %w", p.Name(), err)
+	}
+	return nil
 }
 
 // Name returns the benchmark name.
@@ -326,19 +352,7 @@ func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, 
 		return nil, err
 	}
 	interp.Record(opts.Obs, natRun, time.Since(tStart))
-	for _, e := range []struct {
-		layout string
-		run    interp.Result
-	}{{"optimized", optRun}, {"natural", natRun}} {
-		layoutName, run := e.layout, e.run
-		if !run.Completed {
-			opts.Obs.Counter("interp.eval_capped").Inc()
-			opts.logger().Warn("evaluation run hit the instruction cap",
-				"benchmark", b.Name(), "layout", layoutName,
-				"cap", b.EvalConfig().MaxSteps, "executed", run.Instrs)
-		}
-	}
-	return &Prepared{
+	p := &Prepared{
 		Bench:    b,
 		Front:    front,
 		Opt:      res,
@@ -347,7 +361,23 @@ func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, 
 		OptRun:   optRun,
 		NatRun:   natRun,
 		cfg:      base,
-	}, nil
+	}
+	for _, e := range []struct {
+		layout string
+		run    interp.Result
+	}{{"optimized", optRun}, {"natural", natRun}} {
+		layoutName, run := e.layout, e.run
+		if !run.Completed {
+			opts.Obs.Counter("interp.eval_capped").Inc()
+			if err := p.capError("layout "+layoutName, run); err != nil {
+				return nil, err
+			}
+			opts.logger().Warn("evaluation run hit the instruction cap",
+				"benchmark", b.Name(), "layout", layoutName,
+				"cap", b.EvalConfig().MaxSteps, "executed", run.Instrs)
+		}
+	}
+	return p, nil
 }
 
 // byName returns the prepared benchmark with the given name, or nil.

@@ -55,12 +55,14 @@ func scaleResult(p *Prepared, factor float64) (CacheResult, error) {
 		tr = p.OptTrace
 	} else {
 		var err error
-		_, tr, err = p.deriveTrace(fmt.Sprintf("scale:%g", factor), func() (*core.Result, *memtrace.Trace, error) {
+		variant := fmt.Sprintf("scale:%g", factor)
+		_, tr, err = p.deriveTrace(variant, func() (*core.Result, *memtrace.Trace, error) {
 			front, err := core.FrontEndFrom(p.Front, ir.ScaleCode(p.Bench.Prog, factor), p.cfg)
 			if err != nil {
 				return nil, nil, err
 			}
-			return p.traced(core.BackEnd(front, p.cfg))
+			res, err := core.BackEnd(front, p.cfg)
+			return p.traced(variant, res, err)
 		})
 		if err != nil {
 			return CacheResult{}, err

@@ -7,13 +7,12 @@
 // One seed plays the role of one input file; the paper's "runs" (Table
 // 2) become runs of this engine with distinct seeds.
 //
-// Two consumers sit on top of the engine via the Sink interface:
-// internal/profile implements the IMPACT-I profiler (node and arc
-// weights of the call graph and control graphs), and internal/layout
-// implements the dynamic-trace generator that feeds the cache
-// simulator. Both observe the same execution events, mirroring the
-// paper where the instrumented binary and the traced binary execute
-// the same program.
+// NewEngine compiles a program once into dense tables indexed by one
+// global block ordinal (see Ordinals), and one loop, Run, walks them
+// for both consumers, as the paper's instrumented and traced binaries
+// execute the same program: internal/profile passes Counts, the
+// IMPACT-I probe counters, and internal/layout passes a block-address
+// table and a memtrace.Sink for the instruction fetch runs.
 package interp
 
 import (
@@ -23,37 +22,9 @@ import (
 	"sync/atomic"
 
 	"impact/internal/ir"
+	"impact/internal/memtrace"
 	"impact/internal/xrand"
 )
-
-// Sink receives execution events. Methods are called in program order.
-type Sink interface {
-	// EnterBlock is called once each time control enters block b of
-	// function f, before any of its instructions execute.
-	EnterBlock(f ir.FuncID, b ir.BlockID)
-	// Exec is called for each maximal run of sequentially executed
-	// instructions [lo, hi) within block b. A block's execution emits
-	// one Exec per segment between calls.
-	Exec(f ir.FuncID, b ir.BlockID, lo, hi int32)
-	// TakeArc is called when control leaves block b of f via its
-	// arcIdx-th outgoing arc.
-	TakeArc(f ir.FuncID, b ir.BlockID, arcIdx int32)
-	// Call is called when the call at site transfers control to
-	// callee, after the Exec covering the call instruction.
-	Call(site ir.CallSite, callee ir.FuncID)
-	// Return is called when function f returns to its caller (or, for
-	// the entry function, terminates the program).
-	Return(f ir.FuncID)
-}
-
-// NopSink discards all events. Embed it to implement partial sinks.
-type NopSink struct{}
-
-func (NopSink) EnterBlock(ir.FuncID, ir.BlockID)         {}
-func (NopSink) Exec(ir.FuncID, ir.BlockID, int32, int32) {}
-func (NopSink) TakeArc(ir.FuncID, ir.BlockID, int32)     {}
-func (NopSink) Call(ir.CallSite, ir.FuncID)              {}
-func (NopSink) Return(ir.FuncID)                         {}
 
 // Config controls one execution.
 type Config struct {
@@ -96,22 +67,56 @@ type Result struct {
 	Completed bool
 }
 
-type frame struct {
-	f     ir.FuncID
-	b     ir.BlockID
-	instr int32
-	site  ir.CallSite // call site that created this frame (for debugging)
+// Ordinals numbers the blocks of p, functions in FuncID order, then
+// blocks in BlockID order: block b of function f has the global block
+// ordinal Ordinals(p)[f] + b, and the final element is the block count.
+// The same walk numbers arcs (in Block.Out order) and calls (in
+// instruction order). Every dense per-block table is indexed this way.
+func Ordinals(p *ir.Program) []int32 {
+	base := make([]int32, len(p.Funcs)+1)
+	for fi, f := range p.Funcs {
+		base[fi+1] = base[fi] + int32(len(f.Blocks))
+	}
+	return base
 }
 
-// Engine executes one program. An Engine precomputes per-block call
-// positions and per-run jittered arc probabilities, so constructing
-// one Engine and running it many times with different seeds is cheap.
-// An Engine is safe for concurrent Run calls.
+// Counts are dense execution counters, indexed by ordinal (see
+// Ordinals): Blocks counts block entries, Arcs taken arcs and Calls
+// executed call instructions. A run that returns into the middle of a
+// block resumes it without entering it again.
+type Counts struct {
+	Blocks []uint64
+	Arcs   []uint64
+	Calls  []uint64
+}
+
+// block is one compiled basic block: its function, its instruction
+// count n, its span [call0, call1) of Engine.calls and its span
+// [arc0, arc1) of Engine.to and the probability table.
+type block struct {
+	fn                          ir.FuncID
+	n, call0, call1, arc0, arc1 int32
+}
+
+// call is one compiled call instruction.
+type call struct {
+	pos   int32 // instruction index within its block
+	entry int32 // ordinal of the callee's entry block
+}
+
+// frame is a suspended caller: block ordinal and resume instruction.
+type frame struct{ o, instr int32 }
+
+// Engine executes one program from flat tables compiled once, so
+// running it many times with different seeds is cheap. An Engine is
+// safe for concurrent Run calls.
 type Engine struct {
-	prog *ir.Program
-	// callPos[f][b] lists instruction indices of calls in the block.
-	callPos [][][]int32
-	// probsCache holds the jittered-probability tables of the most
+	prog   *ir.Program
+	entry  int32 // ordinal of the entry function's entry block
+	blocks []block
+	calls  []call
+	to     []int32 // destination ordinal of each arc
+	// probsCache holds the jittered-probability table of the most
 	// recent run. Re-running the same seed — tracing the same "input"
 	// under a second layout, or re-deriving a memoized trace — skips
 	// the whole-program table rebuild. Lock-free: entries are
@@ -124,32 +129,54 @@ type Engine struct {
 type probsEntry struct {
 	seed   uint64
 	jitter float64
-	probs  [][][]float64
+	probs  []float64 // cumulative, indexed by arc ordinal
 }
 
 // NewEngine prepares p for execution. The program must be valid.
 func NewEngine(p *ir.Program) *Engine {
-	e := &Engine{prog: p}
-	e.callPos = make([][][]int32, len(p.Funcs))
+	base := Ordinals(p)
+	e := &Engine{
+		prog:   p,
+		entry:  base[p.Entry] + int32(p.EntryFunc().Entry),
+		blocks: make([]block, 0, base[len(p.Funcs)]),
+	}
 	for fi, f := range p.Funcs {
-		e.callPos[fi] = make([][]int32, len(f.Blocks))
-		for bi, b := range f.Blocks {
+		for _, b := range f.Blocks {
+			blk := block{fn: ir.FuncID(fi), n: int32(len(b.Instrs)), call0: int32(len(e.calls)), arc0: int32(len(e.to))}
 			for j, in := range b.Instrs {
 				if in.Op == ir.OpCall {
-					e.callPos[fi][bi] = append(e.callPos[fi][bi], int32(j))
+					e.calls = append(e.calls, call{pos: int32(j), entry: base[in.Callee] + int32(p.Funcs[in.Callee].Entry)})
 				}
 			}
+			for _, a := range b.Out {
+				e.to = append(e.to, base[fi]+int32(a.To))
+			}
+			blk.call1, blk.arc1 = int32(len(e.calls)), int32(len(e.to))
+			e.blocks = append(e.blocks, blk)
 		}
 	}
 	return e
 }
 
+// NewCounts returns zeroed counters shaped for the engine's program.
+func (e *Engine) NewCounts() *Counts {
+	return &Counts{
+		Blocks: make([]uint64, len(e.blocks)),
+		Arcs:   make([]uint64, len(e.to)),
+		Calls:  make([]uint64, len(e.calls)),
+	}
+}
+
 // ErrDepthExceeded reports that the call stack grew past MaxDepth.
 var ErrDepthExceeded = errors.New("interp: call depth exceeded")
 
-// Run executes the program with the given seed as its "input",
-// streaming events to sink.
-func (e *Engine) Run(seed uint64, cfg Config, sink Sink) (Result, error) {
+// Run executes the program with the given seed as its "input", adding
+// its block entries, taken arcs and executed calls to c when c is
+// non-nil. When sink is non-nil, each non-empty segment of a block
+// (up to and including a call, or to its end) reaches sink as one
+// fetch run at addr[ordinal] + offset, addr holding one address per
+// block ordinal.
+func (e *Engine) Run(seed uint64, cfg Config, c *Counts, addr []uint32, sink memtrace.Sink) (Result, error) {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
@@ -161,87 +188,86 @@ func (e *Engine) Run(seed uint64, cfg Config, sink Sink) (Result, error) {
 	}
 	rng := xrand.New(xrand.Seed(seed, 0x45c0))
 	pseed := xrand.Seed(seed, 0x11f7)
-	var probs [][][]float64
-	if c := e.probsCache.Load(); c != nil && c.seed == pseed && c.jitter == cfg.ProbJitter {
-		probs = c.probs
+	var probs []float64
+	if pc := e.probsCache.Load(); pc != nil && pc.seed == pseed && pc.jitter == cfg.ProbJitter {
+		probs = pc.probs
 	} else {
 		probs = e.jitteredProbs(pseed, cfg.ProbJitter)
 		e.probsCache.Store(&probsEntry{seed: pseed, jitter: cfg.ProbJitter, probs: probs})
 	}
 
 	var res Result
-	prog := e.prog
-	entry := prog.EntryFunc()
-	stack := make([]frame, 1, 64)
-	stack[0] = frame{f: prog.Entry, b: entry.Entry, instr: 0}
-
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		fn := prog.Funcs[fr.f]
-		blk := fn.Blocks[fr.b]
-
-		if fr.instr == 0 {
+	blocks, calls := e.blocks, e.calls
+	stack := make([]frame, 0, 64)
+	o, instr := e.entry, int32(0)
+	for {
+		b := &blocks[o]
+		if instr == 0 && c != nil {
 			// Control has just arrived at the top of this block
 			// (function entry or taken arc); a return into the middle
 			// of a block resumes with instr > 0 and does not re-enter.
-			sink.EnterBlock(fr.f, fr.b)
+			c.Blocks[o]++
 		}
 
-		// Execute up to the next call in this block, or to the end.
-		next := int32(len(blk.Instrs))
-		isCall := false
-		for _, cp := range e.callPos[fr.f][fr.b] {
-			if cp >= fr.instr {
-				next = cp
-				isCall = true
-				break
-			}
+		// Execute up to and including the next call in this block, or
+		// to its end.
+		k, hi := b.call0, b.n
+		for k < b.call1 && calls[k].pos < instr {
+			k++
 		}
-		if isCall {
-			// Segment includes the call instruction itself.
-			lo, hi := fr.instr, next+1
-			if hi > lo {
-				sink.Exec(fr.f, fr.b, lo, hi)
-				res.Instrs += uint64(hi - lo)
+		if k < b.call1 {
+			hi = calls[k].pos + 1
+		}
+		if hi > instr {
+			if sink != nil {
+				sink.Run(memtrace.Run{Addr: addr[o] + uint32(instr)*ir.InstrBytes, Bytes: uint32(hi-instr) * ir.InstrBytes})
 			}
+			res.Instrs += uint64(hi - instr)
+		}
+		if k < b.call1 {
 			res.Calls++
-			callee := blk.Instrs[next].Callee
-			site := ir.CallSite{Func: fr.f, Block: fr.b, Instr: next}
-			sink.Call(site, callee)
-			fr.instr = next + 1
-			if len(stack) >= cfg.MaxDepth {
-				return res, fmt.Errorf("%w (depth %d at %s calling %s)",
-					ErrDepthExceeded, len(stack), fn.Name, prog.Funcs[callee].Name)
+			if c != nil {
+				c.Calls[k]++
 			}
-			cf := prog.Funcs[callee]
-			stack = append(stack, frame{f: callee, b: cf.Entry, instr: 0, site: site})
+			if len(stack)+1 >= cfg.MaxDepth {
+				return res, fmt.Errorf("%w (depth %d at %s calling %s)", ErrDepthExceeded, len(stack)+1,
+					e.prog.Funcs[b.fn].Name, e.prog.Funcs[blocks[calls[k].entry].fn].Name)
+			}
+			stack = append(stack, frame{o: o, instr: hi})
+			o, instr = calls[k].entry, 0
 			if res.Instrs >= cfg.MaxSteps {
 				return res, nil
 			}
 			continue
 		}
-
-		// Block runs to completion.
-		lo, hi := fr.instr, int32(len(blk.Instrs))
-		if hi > lo {
-			sink.Exec(fr.f, fr.b, lo, hi)
-			res.Instrs += uint64(hi - lo)
-		}
-		if len(blk.Out) == 0 {
+		if b.arc0 == b.arc1 {
 			// Function exit.
 			res.Returns++
-			sink.Return(fr.f)
-			stack = stack[:len(stack)-1]
 			if res.Instrs >= cfg.MaxSteps {
 				return res, nil
 			}
+			if len(stack) == 0 {
+				break
+			}
+			top := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			o, instr = top.o, top.instr
 			continue
 		}
-		arcIdx := chooseArc(probs[fr.f][fr.b], rng)
-		sink.TakeArc(fr.f, fr.b, int32(arcIdx))
+		a := b.arc0
+		if b.arc1-a > 1 {
+			// Exactly one draw per multi-arc block: the first arc
+			// whose cumulative probability exceeds it, else the last.
+			x := rng.Float64()
+			for a < b.arc1-1 && x >= probs[a] {
+				a++
+			}
+		}
+		if c != nil {
+			c.Arcs[a]++
+		}
 		res.Branches++
-		fr.b = blk.Out[arcIdx].To
-		fr.instr = 0
+		o, instr = e.to[a], 0
 		if res.Instrs >= cfg.MaxSteps {
 			return res, nil
 		}
@@ -250,7 +276,8 @@ func (e *Engine) Run(seed uint64, cfg Config, sink Sink) (Result, error) {
 	return res, nil
 }
 
-// jitteredProbs builds per-run cumulative arc probability tables.
+// jitteredProbs builds the per-run cumulative arc probability table,
+// indexed by arc ordinal.
 //
 // The jitter factor of an arc is a pure function of the run seed and
 // the arc's shape (its probability, index, and fan-out), NOT of the
@@ -260,15 +287,14 @@ func (e *Engine) Run(seed uint64, cfg Config, sink Sink) (Result, error) {
 // makes identical branch decisions on the original and the inlined
 // program — exactly as one input file drives one control-flow history
 // regardless of how the compiler arranged the code.
-func (e *Engine) jitteredProbs(seed uint64, jitter float64) [][][]float64 {
-	out := make([][][]float64, len(e.prog.Funcs))
-	for fi, f := range e.prog.Funcs {
-		out[fi] = make([][]float64, len(f.Blocks))
-		for bi, b := range f.Blocks {
+func (e *Engine) jitteredProbs(seed uint64, jitter float64) []float64 {
+	out := make([]float64, 0, len(e.to))
+	for _, f := range e.prog.Funcs {
+		for _, b := range f.Blocks {
 			if len(b.Out) == 0 {
 				continue
 			}
-			cum := make([]float64, len(b.Out))
+			cum := out[len(out) : len(out)+len(b.Out)]
 			var total float64
 			for k, a := range b.Out {
 				p := a.Prob
@@ -284,27 +310,8 @@ func (e *Engine) jitteredProbs(seed uint64, jitter float64) [][][]float64 {
 				cum[k] /= total
 			}
 			cum[len(cum)-1] = 1
-			out[fi][bi] = cum
+			out = out[:len(out)+len(b.Out)]
 		}
 	}
 	return out
-}
-
-func chooseArc(cum []float64, rng *xrand.RNG) int {
-	if len(cum) == 1 {
-		return 0
-	}
-	x := rng.Float64()
-	if len(cum) == 2 {
-		if x < cum[0] {
-			return 0
-		}
-		return 1
-	}
-	for i, c := range cum {
-		if x < c {
-			return i
-		}
-	}
-	return len(cum) - 1
 }

@@ -2,38 +2,48 @@ package interp
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"impact/internal/ir"
+	"impact/internal/memtrace"
 )
 
-// recorder captures every event for assertion.
-type recorder struct {
-	enters  []string
-	execs   [][4]int32
-	arcs    [][3]int32
-	calls   []ir.CallSite
-	returns []ir.FuncID
-	instrs  int64
+// fetches records the fetch runs a run emits, unmerged.
+type fetches []memtrace.Run
+
+func (f *fetches) Run(r memtrace.Run) { *f = append(*f, r) }
+
+// instrs returns the instructions the recorded runs cover.
+func (f fetches) instrs() uint64 {
+	var n uint64
+	for _, r := range f {
+		n += uint64(r.Bytes / ir.InstrBytes)
+	}
+	return n
 }
 
-func (r *recorder) EnterBlock(f ir.FuncID, b ir.BlockID) {
-	r.enters = append(r.enters, "")
-	_ = f
-	_ = b
+// sum adds up one counter table.
+func sum(xs []uint64) uint64 {
+	var n uint64
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }
-func (r *recorder) Exec(f ir.FuncID, b ir.BlockID, lo, hi int32) {
-	r.execs = append(r.execs, [4]int32{int32(f), int32(b), lo, hi})
-	r.instrs += int64(hi - lo)
+
+// natural returns the declaration-order block-address table of p.
+func natural(p *ir.Program) []uint32 {
+	var addr []uint32
+	var at uint32
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			addr = append(addr, at)
+			at += uint32(b.Bytes())
+		}
+	}
+	return addr
 }
-func (r *recorder) TakeArc(f ir.FuncID, b ir.BlockID, arcIdx int32) {
-	r.arcs = append(r.arcs, [3]int32{int32(f), int32(b), arcIdx})
-}
-func (r *recorder) Call(site ir.CallSite, callee ir.FuncID) {
-	r.calls = append(r.calls, site)
-	_ = callee
-}
-func (r *recorder) Return(f ir.FuncID) { r.returns = append(r.returns, f) }
 
 // straightLine builds: main: b0(3 instrs) -> b1(2 instrs, ret).
 func straightLine(t *testing.T) *ir.Program {
@@ -87,8 +97,10 @@ func loopProgram(t *testing.T, p float64) *ir.Program {
 
 func TestStraightLineEvents(t *testing.T) {
 	p := straightLine(t)
-	rec := &recorder{}
-	res, err := NewEngine(p).Run(1, Config{}, rec)
+	e := NewEngine(p)
+	c := e.NewCounts()
+	var runs fetches
+	res, err := e.Run(1, Config{}, c, natural(p), &runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,27 +111,29 @@ func TestStraightLineEvents(t *testing.T) {
 	if res.Instrs != 5 {
 		t.Fatalf("Instrs = %d, want 5", res.Instrs)
 	}
-	if rec.instrs != 5 {
-		t.Fatalf("sink saw %d instrs, want 5", rec.instrs)
+	if runs.instrs() != 5 {
+		t.Fatalf("fetch runs cover %d instrs, want 5", runs.instrs())
 	}
-	if len(rec.enters) != 2 {
-		t.Fatalf("EnterBlock called %d times, want 2", len(rec.enters))
+	if got := sum(c.Blocks); got != 2 {
+		t.Fatalf("%d block entries counted, want 2", got)
 	}
-	if len(rec.arcs) != 1 {
-		t.Fatalf("TakeArc called %d times, want 1", len(rec.arcs))
+	if got := sum(c.Arcs); got != 1 {
+		t.Fatalf("%d taken arcs counted, want 1", got)
 	}
 	if res.Branches != 1 {
 		t.Fatalf("Branches = %d, want 1", res.Branches)
 	}
-	if len(rec.returns) != 1 || res.Returns != 1 {
+	if res.Returns != 1 {
 		t.Fatal("expected exactly one return")
 	}
 }
 
 func TestCallSequence(t *testing.T) {
 	p := callProgram(t)
-	rec := &recorder{}
-	res, err := NewEngine(p).Run(7, Config{}, rec)
+	e := NewEngine(p)
+	c := e.NewCounts()
+	var runs fetches
+	res, err := e.Run(7, Config{}, c, []uint32{1000, 2000}, &runs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,38 +147,34 @@ func TestCallSequence(t *testing.T) {
 	if res.Returns != 2 {
 		t.Fatalf("Returns = %d, want 2", res.Returns)
 	}
-	if len(rec.calls) != 1 {
-		t.Fatal("sink missed the call event")
+	// The program's only call is main's instruction 2 (ordinal 1 is
+	// main's block, ordinal 0 leaf's).
+	if !reflect.DeepEqual(c.Calls, []uint64{1}) {
+		t.Fatalf("call counts %v, want [1]", c.Calls)
 	}
-	site := rec.calls[0]
-	if site.Func != 1 || site.Block != 0 || site.Instr != 2 {
-		t.Fatalf("call site = %+v", site)
+	if cl := e.calls[0]; cl.pos != 2 || cl.entry != 0 || e.blocks[1].call0 != 0 || e.blocks[1].call1 != 1 {
+		t.Fatalf("compiled call %+v in block %+v", cl, e.blocks[1])
 	}
-	// Exec segments: main [0,3) (incl. call), leaf [0,3), main [3,7).
-	want := [][4]int32{{1, 0, 0, 3}, {0, 0, 0, 3}, {1, 0, 3, 7}}
-	if len(rec.execs) != len(want) {
-		t.Fatalf("got %d exec segments %v, want %v", len(rec.execs), rec.execs, want)
+	// Fetch runs: main [0,3) (incl. call), leaf [0,3), main [3,7).
+	want := fetches{{Addr: 2000, Bytes: 12}, {Addr: 1000, Bytes: 12}, {Addr: 2012, Bytes: 16}}
+	if !reflect.DeepEqual(runs, want) {
+		t.Fatalf("fetch runs %v, want %v", runs, want)
 	}
-	for i, w := range want {
-		if rec.execs[i] != w {
-			t.Fatalf("segment %d = %v, want %v", i, rec.execs[i], w)
-		}
-	}
-	// EnterBlock: main entry once, leaf entry once. Resuming main
+	// Block entries: main entry once, leaf entry once. Resuming main
 	// after the call must NOT re-enter the block.
-	if len(rec.enters) != 2 {
-		t.Fatalf("EnterBlock called %d times, want 2", len(rec.enters))
+	if !reflect.DeepEqual(c.Blocks, []uint64{1, 1}) {
+		t.Fatalf("block entries %v, want [1 1]", c.Blocks)
 	}
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	p := loopProgram(t, 0.9)
 	e := NewEngine(p)
-	r1, err := e.Run(123, Config{}, NopSink{})
+	r1, err := e.Run(123, Config{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Run(123, Config{}, NopSink{})
+	r2, err := e.Run(123, Config{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +186,12 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestDifferentSeedsDiffer(t *testing.T) {
 	p := loopProgram(t, 0.9)
 	e := NewEngine(p)
-	r1, _ := e.Run(1, Config{}, NopSink{})
-	r2, _ := e.Run(2, Config{}, NopSink{})
+	r1, _ := e.Run(1, Config{}, nil, nil, nil)
+	r2, _ := e.Run(2, Config{}, nil, nil, nil)
 	if r1.Instrs == r2.Instrs {
 		// Possible but wildly unlikely for a geometric loop; try a
 		// third seed before declaring failure.
-		r3, _ := e.Run(3, Config{}, NopSink{})
+		r3, _ := e.Run(3, Config{}, nil, nil, nil)
 		if r3.Instrs == r1.Instrs {
 			t.Fatal("three seeds produced identical loop lengths")
 		}
@@ -194,7 +204,7 @@ func TestLoopMeanTripCount(t *testing.T) {
 	var totalBody uint64
 	const runs = 2000
 	for s := uint64(0); s < runs; s++ {
-		res, err := e.Run(s, Config{}, NopSink{})
+		res, err := e.Run(s, Config{}, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +219,7 @@ func TestLoopMeanTripCount(t *testing.T) {
 
 func TestMaxStepsStopsRun(t *testing.T) {
 	p := loopProgram(t, 0.999999) // effectively infinite
-	res, err := NewEngine(p).Run(5, Config{MaxSteps: 1000}, NopSink{})
+	res, err := NewEngine(p).Run(5, Config{MaxSteps: 1000}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +248,7 @@ func TestMaxDepthError(t *testing.T) {
 	pb.SetEntry(fa.ID())
 	p := pb.Build()
 
-	_, err := NewEngine(p).Run(1, Config{MaxDepth: 64}, NopSink{})
+	_, err := NewEngine(p).Run(1, Config{MaxDepth: 64}, nil, nil, nil)
 	if !errors.Is(err, ErrDepthExceeded) {
 		t.Fatalf("err = %v, want ErrDepthExceeded", err)
 	}
@@ -246,10 +256,10 @@ func TestMaxDepthError(t *testing.T) {
 
 func TestProbJitterValidation(t *testing.T) {
 	p := straightLine(t)
-	if _, err := NewEngine(p).Run(1, Config{ProbJitter: 1.5}, NopSink{}); err == nil {
+	if _, err := NewEngine(p).Run(1, Config{ProbJitter: 1.5}, nil, nil, nil); err == nil {
 		t.Fatal("ProbJitter 1.5 accepted")
 	}
-	if _, err := NewEngine(p).Run(1, Config{ProbJitter: -0.1}, NopSink{}); err == nil {
+	if _, err := NewEngine(p).Run(1, Config{ProbJitter: -0.1}, nil, nil, nil); err == nil {
 		t.Fatal("negative ProbJitter accepted")
 	}
 }
@@ -261,8 +271,8 @@ func TestProbJitterChangesBehaviour(t *testing.T) {
 	// differ for at least one of a few seeds.
 	differs := false
 	for s := uint64(0); s < 5 && !differs; s++ {
-		a, _ := e.Run(s, Config{}, NopSink{})
-		b, _ := e.Run(s, Config{ProbJitter: 0.3}, NopSink{})
+		a, _ := e.Run(s, Config{}, nil, nil, nil)
+		b, _ := e.Run(s, Config{ProbJitter: 0.3}, nil, nil, nil)
 		differs = a.Instrs != b.Instrs
 	}
 	if !differs {
@@ -285,21 +295,23 @@ func TestEmptyBlockExecutes(t *testing.T) {
 	fb.Ret(b1)
 	p := pb.Build()
 
-	rec := &recorder{}
-	res, err := NewEngine(p).Run(1, Config{}, rec)
+	e := NewEngine(p)
+	c := e.NewCounts()
+	var runs fetches
+	res, err := e.Run(1, Config{}, c, natural(p), &runs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Instrs != 4 {
 		t.Fatalf("Instrs = %d, want 4", res.Instrs)
 	}
-	if len(rec.enters) != 3 {
-		t.Fatalf("EnterBlock count = %d, want 3 (empty block still entered)", len(rec.enters))
+	if !reflect.DeepEqual(c.Blocks, []uint64{1, 1, 1}) {
+		t.Fatalf("block entries %v, want [1 1 1] (empty block still entered)", c.Blocks)
 	}
-	// Empty block must not emit a zero-length Exec.
-	for _, e := range rec.execs {
-		if e[2] == e[3] {
-			t.Fatalf("zero-length exec segment emitted: %v", e)
+	// Empty block must not emit a zero-length fetch run.
+	for _, r := range runs {
+		if r.Bytes == 0 {
+			t.Fatalf("zero-length fetch run emitted: %+v", r)
 		}
 	}
 }
@@ -318,17 +330,63 @@ func TestBranchDistribution(t *testing.T) {
 	p := pb.Build()
 
 	eng := NewEngine(p)
-	counts := [2]int{}
+	c := eng.NewCounts()
 	const runs = 5000
 	for s := uint64(0); s < runs; s++ {
-		rec := &recorder{}
-		if _, err := eng.Run(s, Config{}, rec); err != nil {
+		if _, err := eng.Run(s, Config{}, c, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		counts[rec.arcs[0][2]]++
 	}
-	frac := float64(counts[0]) / runs
+	if sum(c.Arcs) != runs {
+		t.Fatalf("%d arcs taken in %d runs, want one per run", sum(c.Arcs), runs)
+	}
+	frac := float64(c.Arcs[0]) / runs
 	if frac < 0.77 || frac > 0.83 {
 		t.Fatalf("arc 0 taken fraction %v, want ~0.8", frac)
 	}
+}
+
+// TestRunAllocsIndependentOfLength is the engine's allocation guard: a
+// warm run with counters and a fetch sink allocates the same number of
+// times at any length, so the loop itself never allocates.
+func TestRunAllocsIndependentOfLength(t *testing.T) {
+	p := callLoop(t)
+	e := NewEngine(p)
+	c := e.NewCounts()
+	addr := natural(p)
+	var sink memtrace.RunCount
+	allocs := func(steps uint64) float64 {
+		cfg := Config{MaxSteps: steps, ProbJitter: 0.2}
+		run := func() {
+			res, err := e.Run(1, cfg, c, addr, &sink)
+			if err != nil || res.Completed {
+				t.Fatalf("MaxSteps %d: %+v, %v; want a capped run", steps, res, err)
+			}
+		}
+		run() // warm the probability cache
+		return testing.AllocsPerRun(10, run)
+	}
+	if short, long := allocs(1e3), allocs(1e5); short != long {
+		t.Fatalf("warm Run allocates %v times at MaxSteps 1e3, %v at 1e5", short, long)
+	}
+}
+
+// callLoop builds main looping (almost) forever over a block that
+// calls leaf.
+func callLoop(t *testing.T) *ir.Program {
+	t.Helper()
+	pb := ir.NewProgramBuilder()
+	leaf := pb.NewFunc("leaf")
+	lb := leaf.NewBlock()
+	leaf.Fill(lb, 3)
+	leaf.Ret(lb)
+	main := pb.NewFunc("main")
+	body := main.NewBlock()
+	exit := main.NewBlock()
+	main.Fill(body, 2)
+	main.Call(body, leaf.ID())
+	main.Branch(body, ir.Arc{To: body, Prob: 1 - 1e-9}, ir.Arc{To: exit, Prob: 1e-9})
+	main.Ret(exit)
+	pb.SetEntry(main.ID())
+	return pb.Build()
 }

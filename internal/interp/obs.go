@@ -13,9 +13,9 @@ import (
 //
 // Metrics: counters interp.runs, interp.instrs, interp.branches,
 // interp.calls, interp.returns, interp.busy_ns; gauge
-// interp.events_per_sec (total sink events over total recorded busy
-// time — with parallel runs this is per-worker throughput, not
-// machine throughput).
+// interp.events_per_sec (executed instructions, branches, calls and
+// returns over total recorded busy time — with parallel runs this is
+// per-worker throughput, not machine throughput).
 func Record(r *obs.Registry, res Result, elapsed time.Duration) {
 	if r == nil {
 		return

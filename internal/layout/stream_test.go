@@ -120,3 +120,41 @@ func TestEngineReuse(t *testing.T) {
 		t.Error("engine cache did not update to the new program")
 	}
 }
+
+// TestStreamAllocsIndependentOfLength is the allocation guard of the
+// generation inner loop: a warm Stream allocates the same number of
+// times whether it executes a thousand instructions or a hundred
+// thousand, so nothing in the loop allocates per block or per run.
+func TestStreamAllocsIndependentOfLength(t *testing.T) {
+	pb := ir.NewProgramBuilder()
+	leaf := pb.NewFunc("leaf")
+	lb := leaf.NewBlock()
+	leaf.Fill(lb, 3)
+	leaf.Ret(lb)
+	main := pb.NewFunc("main")
+	body := main.NewBlock()
+	exit := main.NewBlock()
+	main.Fill(body, 2)
+	main.Call(body, leaf.ID())
+	main.Branch(body, ir.Arc{To: body, Prob: 1 - 1e-9}, ir.Arc{To: exit, Prob: 1e-9})
+	main.Ret(exit)
+	pb.SetEntry(main.ID())
+	p := pb.Build()
+	lay := Random(p, 5)
+
+	allocs := func(steps uint64) float64 {
+		cfg := interp.Config{MaxSteps: steps, ProbJitter: 0.2}
+		var sink memtrace.RunCount
+		run := func() {
+			res, err := Stream(lay, 1, cfg, &sink)
+			if err != nil || res.Completed {
+				t.Fatalf("MaxSteps %d: %+v, %v; want a capped run", steps, res, err)
+			}
+		}
+		run() // warm the engine and probability caches
+		return testing.AllocsPerRun(10, run)
+	}
+	if short, long := allocs(1e3), allocs(1e5); short != long {
+		t.Fatalf("warm Stream allocates %v times at MaxSteps 1e3, %v at 1e5", short, long)
+	}
+}

@@ -8,6 +8,12 @@
 // call site, accumulated over a set of profiling runs (each run is one
 // seed, standing in for one input file).
 //
+// Like IMPACT-I's probes (one increment per node or arc executed),
+// Profile counts with the interpreter's dense interp.Counts across all
+// runs and builds Weights once at the end. Block weights are counted
+// entries, not sums of incoming arcs: a capped run stops after taking
+// an arc or making a call, before entering the destination.
+//
 // The placement passes in internal/core consume only these measured
 // weights — never the behavioural probabilities in the IR — matching
 // the paper's profile-driven design.
@@ -170,31 +176,6 @@ func (w *Weights) Check(p *ir.Program) error {
 	return nil
 }
 
-// Collector is an interp.Sink that accumulates profile weights,
-// playing the role of the probe calls the IMPACT-I profiler inserts
-// into the instrumented program.
-type Collector struct {
-	interp.NopSink
-	W *Weights
-}
-
-// NewCollector returns a collector accumulating into w.
-func NewCollector(w *Weights) *Collector { return &Collector{W: w} }
-
-func (c *Collector) EnterBlock(f ir.FuncID, b ir.BlockID) {
-	c.W.Funcs[f].BlockW[b]++
-}
-
-func (c *Collector) TakeArc(f ir.FuncID, b ir.BlockID, arcIdx int32) {
-	c.W.Funcs[f].ArcW[b][arcIdx]++
-}
-
-func (c *Collector) Call(site ir.CallSite, callee ir.FuncID) {
-	c.W.Sites[site]++
-	c.W.Pairs[CallPair{Caller: site.Func, Callee: callee}]++
-	c.W.Funcs[callee].Entries++
-}
-
 // Config controls a profiling session.
 type Config struct {
 	// Seeds lists the profiling inputs; each seed is one run.
@@ -207,26 +188,28 @@ type Config struct {
 }
 
 // Profile runs program p once per seed and returns the merged weights
-// plus the per-run execution results.
+// plus the per-run execution results. All runs share one set of dense
+// probe counters (interp.Counts), which become Weights once at the end.
 func Profile(p *ir.Program, cfg Config) (*Weights, []interp.Result, error) {
 	if len(cfg.Seeds) == 0 {
 		return nil, nil, fmt.Errorf("profile: no seeds given")
 	}
-	w := NewWeights(p)
-	// The entry function is entered once per run but no Call event
-	// reports it; account for it explicitly.
 	eng := interp.NewEngine(p)
-	col := NewCollector(w)
+	c := eng.NewCounts()
 	results := make([]interp.Result, 0, len(cfg.Seeds))
 	for _, seed := range cfg.Seeds {
-		w.Funcs[p.Entry].Entries++
 		//lint:walltime per-run timing metric only; weights are clock-free
 		start := time.Now()
-		res, err := eng.Run(seed, cfg.Interp, col)
+		res, err := eng.Run(seed, cfg.Interp, c, nil, nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("profile: seed %d: %w", seed, err)
 		}
 		interp.Record(cfg.Obs, res, time.Since(start))
+		results = append(results, res)
+	}
+	w := fromCounts(p, c)
+	w.Funcs[p.Entry].Entries += uint64(len(cfg.Seeds)) // once per run, by no call
+	for _, res := range results {
 		w.DynInstrs += res.Instrs
 		w.DynBranches += res.Branches
 		w.DynCalls += res.Calls
@@ -234,8 +217,34 @@ func Profile(p *ir.Program, cfg Config) (*Weights, []interp.Result, error) {
 		if !res.Completed {
 			w.Capped++
 		}
-		results = append(results, res)
 	}
 	w.Runs = len(cfg.Seeds)
 	return w, results, nil
+}
+
+// fromCounts turns dense counters into weights shaped like
+// NewWeights(p). Only executed call sites enter Sites and Pairs.
+func fromCounts(p *ir.Program, c *interp.Counts) *Weights {
+	w := NewWeights(p)
+	var o, arc, call int
+	for fi, f := range p.Funcs {
+		fw := &w.Funcs[fi]
+		for bi, b := range f.Blocks {
+			fw.BlockW[bi] = c.Blocks[o]
+			o++
+			arc += copy(fw.ArcW[bi], c.Arcs[arc:])
+			for j, in := range b.Instrs {
+				if in.Op != ir.OpCall {
+					continue
+				}
+				if n := c.Calls[call]; n > 0 {
+					w.Sites[ir.CallSite{Func: ir.FuncID(fi), Block: ir.BlockID(bi), Instr: int32(j)}] = n
+					w.Pairs[CallPair{Caller: ir.FuncID(fi), Callee: in.Callee}] += n
+					w.Funcs[in.Callee].Entries += n
+				}
+				call++
+			}
+		}
+	}
+	return w
 }

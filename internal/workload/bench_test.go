@@ -25,7 +25,7 @@ func BenchmarkExecutionEngine(b *testing.B) {
 	var instrs uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.Run(uint64(i), cfg, interp.NopSink{})
+		res, err := eng.Run(uint64(i), cfg, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

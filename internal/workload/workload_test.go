@@ -121,7 +121,7 @@ func TestRunsCompleteNearTarget(t *testing.T) {
 		var total uint64
 		const runs = 6
 		for i := 0; i < runs; i++ {
-			res, err := eng.Run(uint64(1000+i), b.EvalConfig(), interp.NopSink{})
+			res, err := eng.Run(uint64(1000+i), b.EvalConfig(), nil, nil, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

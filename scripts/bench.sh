@@ -9,7 +9,7 @@
 #
 #   scripts/bench.sh -compare [baseline] [bench-regexp]
 #       Run the benchmarks to a temporary file and compare ns/op
-#       against the baseline (default BENCH_PR6.json) with
+#       against the baseline (default BENCH_CI.json) with
 #       scripts/benchcmp. Exits non-zero when any benchmark regressed
 #       by at least FAIL_PCT percent.
 #
@@ -18,27 +18,30 @@
 #
 # Environment:
 #
-#   IMPACT_BENCH_SCALE  trace scale passed to the suite (default 0.25,
-#                       the same scale the acceptance numbers use)
-#   BENCHTIME           go test -benchtime value (default 3x, so the
-#                       memoized steady state shows up after the cold
-#                       first iteration)
-#   OUT                 output file (default BENCH_PR6.json)
+#   IMPACT_BENCH_SCALE  trace scale passed to the suite (default: the
+#                       baseline file's "scale", 0.05 for BENCH_CI.json)
+#   BENCHTIME           go test -benchtime value (default: the baseline
+#                       file's "benchtime", 1x for BENCH_CI.json)
+#   OUT                 output file (default BENCH_CI.json)
 #   WARN_PCT            -compare warning threshold (default 10)
 #   FAIL_PCT            -compare failure threshold (default 25)
+#
+# Taking scale and benchtime from the baseline keeps a default run
+# comparable with it: benchcmp rejects files recorded at a different
+# scale or benchtime.
 #
 # The JSON maps each benchmark to its ns/op plus every custom metric
 # the benchmark reports (miss2K%, traffic2K%, ...), so performance and
 # correctness-bearing outputs are recorded side by side, along with the
 # wall-clock seconds of the whole `go test -bench` invocation
 # (wall_seconds, which includes the one-time suite preparation). The
-# default pattern covers the table benchmarks, the BenchmarkAnalyze
-# family (static analyzer priced against the trace-driven simulator,
-# incremental re-analysis, and the page-level BenchmarkAnalyzePages), and
-# the streaming benchmark (BenchmarkStreamSimulate: generate-and-
-# simulate with no materialized trace), and the multi-core pair
-# (BenchmarkStackPassSharded: the banded stack pass;
-# BenchmarkSearchParallel: the portfolio search).
+# default pattern is the CI gate's: Tables 1, 6 and 9, the
+# BenchmarkAnalyze family (static analyzer priced against the
+# trace-driven simulator, incremental re-analysis, and the page-level
+# BenchmarkAnalyzePages), the streaming benchmark
+# (BenchmarkStreamSimulate: generate-and-simulate with no materialized
+# trace), and the multi-core pair (BenchmarkStackPassSharded: the
+# banded stack pass; BenchmarkSearchParallel: the portfolio search).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,7 +59,7 @@ if [ "${1:-}" = "-compare-files" ]; then
 fi
 
 MODE=run
-BASELINE=BENCH_PR6.json
+BASELINE=BENCH_CI.json
 if [ "${1:-}" = "-compare" ]; then
     MODE=compare
     shift
@@ -68,13 +71,21 @@ if [ "${1:-}" = "-compare" ]; then
     fi
 fi
 
-SCALE="${IMPACT_BENCH_SCALE:-0.25}"
-BENCHTIME="${BENCHTIME:-3x}"
-PATTERN="${1:-^Benchmark(Table|Analyze|Stream|Stack|Search)}"
+# field prints one top-level scalar of the baseline JSON.
+field() {
+    sed -n "s/^ *\"$1\": *\"\{0,1\}\([^\",]*\)\"\{0,1\},\{0,1\}\$/\1/p" "$BASELINE" | head -n 1
+}
+SCALE="${IMPACT_BENCH_SCALE:-$(field scale)}"
+BENCHTIME="${BENCHTIME:-$(field benchtime)}"
+if [ -z "$SCALE" ] || [ -z "$BENCHTIME" ]; then
+    echo "bench.sh: $BASELINE gives no scale/benchtime; set IMPACT_BENCH_SCALE and BENCHTIME" >&2
+    exit 2
+fi
+PATTERN="${1:-^Benchmark(Table(1|6|9)|Analyze|Stream|Stack|Search)}"
 if [ "$MODE" = compare ]; then
     OUT="$(mktemp /tmp/bench.XXXXXX.json)"
 else
-    OUT="${OUT:-BENCH_PR6.json}"
+    OUT="${OUT:-BENCH_CI.json}"
 fi
 
 start=$(date +%s.%N)

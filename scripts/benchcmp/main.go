@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go run ./scripts/benchcmp -base BENCH_PR6.json -new /tmp/bench.json \
+//	go run ./scripts/benchcmp -base BENCH_CI.json -new /tmp/bench.json \
 //	    [-warn 10] [-fail 25]
 //
 // Per benchmark the regression is (new-base)/base in percent. Below
