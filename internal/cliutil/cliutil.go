@@ -166,8 +166,9 @@ func (c *Common) MustClose() {
 }
 
 // AddWorkersFlag registers the shared -workers flag: the parallelism
-// cap for the measurement engine's trace passes, icsim's banded stack
-// pass and the portfolio search. Zero means GOMAXPROCS; one forces the
+// cap for the experiments engine's pool (suite preparation, trace
+// passes and table tasks), icsim's banded stack pass and the portfolio
+// search. Zero means GOMAXPROCS; one forces the
 // exact serial code paths; a negative count fails flag parsing.
 // Results are identical for every value — the flag only trades
 // wall-clock time.

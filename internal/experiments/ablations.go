@@ -5,6 +5,7 @@ import (
 
 	"impact/internal/cache"
 	"impact/internal/core"
+	"impact/internal/interp"
 	"impact/internal/layout"
 	"impact/internal/memtrace"
 	"impact/internal/texttable"
@@ -36,6 +37,8 @@ type AblationLayoutRow struct {
 //	no-inline  — the full layout pipeline (steps 3-5) without step 2;
 //	no-split   — full pipeline except the effective/non-executed split;
 //	full       — the paper's complete pipeline.
+//
+// Each (benchmark, strategy) pair is one task on the suite's pool.
 func AblationLayout(s *Suite) ([]AblationLayoutRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
 	strategies := map[string]core.Strategy{
@@ -43,44 +46,49 @@ func AblationLayout(s *Suite) ([]AblationLayoutRow, error) {
 		"no-inline":  {TraceLayout: true, GlobalDFS: true, SplitCold: true},
 		"no-split":   {Inline: true, TraceLayout: true, GlobalDFS: true},
 	}
-	var out []AblationLayoutRow
-	for _, p := range s.Items {
+	ns := len(LayoutStrategies)
+	miss, err := collect(s.engine(), len(s.Items)*ns, func(w worker, i int) (float64, error) {
+		p, name := s.Items[i/ns], LayoutStrategies[i%ns]
 		b := p.Bench
-		row := AblationLayoutRow{Name: p.Name(), Miss: make(map[string]float64)}
-
-		traces := map[string]*memtrace.Trace{"natural": p.NatTrace, "full": p.OptTrace}
-
-		_, rndTr, err := p.deriveTrace("layout:random", func() (*core.Result, *memtrace.Trace, error) {
-			tr, run, err := layout.Trace(layout.Random(b.Prog, 0xAB1), b.EvalSeed, b.EvalConfig())
-			if err == nil {
-				err = p.variantCapError("layout:random", run)
-			}
-			return nil, tr, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		traces["random"] = rndTr
-
-		//lint:maprange results land in the traces map; rendering iterates LayoutStrategies
-		for name, st := range strategies {
+		var tr *memtrace.Trace
+		var err error
+		switch name {
+		case "natural":
+			tr = p.NatTrace
+		case "full":
+			tr = p.OptTrace
+		case "random":
+			_, tr, err = p.deriveTrace("layout:random", func() (*core.Result, *memtrace.Trace, error) {
+				tr, run, err := p.evalTrace(w, func() (*memtrace.Trace, interp.Result, error) {
+					return layout.Trace(layout.Random(b.Prog, 0xAB1), b.EvalSeed, b.EvalConfig())
+				})
+				if err == nil {
+					err = p.variantCapError("layout:random", run)
+				}
+				return nil, tr, err
+			})
+		default:
 			ccfg := p.cfg
-			ccfg.Strategy = st
-			_, tr, err := p.deriveOptimize("layout:"+name, ccfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", p.Name(), name, err)
+			ccfg.Strategy = strategies[name]
+			if _, tr, err = p.deriveOptimize(w, "layout:"+name, ccfg); err != nil {
+				err = fmt.Errorf("%s/%s: %w", p.Name(), name, err)
 			}
-			traces[name] = tr
 		}
-
-		for _, name := range LayoutStrategies {
-			st2k, err := sharedEngine.Simulate(cfg2k, traces[name])
-			if err != nil {
-				return nil, err
-			}
-			row.Miss[name] = st2k.MissRatio()
+		if err != nil {
+			return 0, err
 		}
-		out = append(out, row)
+		st, err := w.simulate(cfg2k, tr)
+		return st.MissRatio(), err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]AblationLayoutRow, len(s.Items))
+	for i, p := range s.Items {
+		out[i] = AblationLayoutRow{Name: p.Name(), Miss: make(map[string]float64)}
+		for j, name := range LayoutStrategies {
+			out[i].Miss[name] = miss[i*ns+j]
+		}
 	}
 	return out, nil
 }
@@ -125,7 +133,7 @@ func AblationAssoc(s *Suite) ([]AblationAssocRow, error) {
 			reqs = append(reqs, SimRequest{p.OptTrace, cfg}, SimRequest{p.NatTrace, cfg})
 		}
 	}
-	stats, err := sharedEngine.Batch(reqs)
+	stats, err := s.engine().Batch(reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -191,40 +199,42 @@ type AblationMinProbRow struct {
 	Desirable map[float64]float64
 }
 
-// AblationMinProb re-runs the pipeline at each threshold.
+// AblationMinProb re-runs the pipeline at each threshold, one task per
+// (benchmark, threshold) pair on the suite's pool.
 func AblationMinProb(s *Suite) ([]AblationMinProbRow, error) {
 	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	var out []AblationMinProbRow
-	for _, p := range s.Items {
-		row := AblationMinProbRow{
+	type point struct{ miss, desirable float64 }
+	nv := len(MinProbValues)
+	points, err := collect(s.engine(), len(s.Items)*nv, func(w worker, i int) (point, error) {
+		p, mp := s.Items[i/nv], MinProbValues[i%nv]
+		res, tr := p.Opt, p.OptTrace
+		if ccfg := p.cfg; mp != ccfg.MinProb {
+			// The paper's threshold is the pipeline default, so the
+			// prepared result is that very variant; every other
+			// threshold re-runs the back end.
+			ccfg.MinProb = mp
+			var err error
+			if res, tr, err = p.deriveOptimize(w, fmt.Sprintf("minprob:%g", mp), ccfg); err != nil {
+				return point{}, err
+			}
+		}
+		st, err := w.simulate(cfg2k, tr)
+		return point{st.MissRatio(), res.TraceStats.DesirableFrac()}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]AblationMinProbRow, len(s.Items))
+	for i, p := range s.Items {
+		out[i] = AblationMinProbRow{
 			Name:      p.Name(),
 			Miss:      make(map[float64]float64),
 			Desirable: make(map[float64]float64),
 		}
-		for _, mp := range MinProbValues {
-			ccfg := p.cfg
-			var res *core.Result
-			var tr *memtrace.Trace
-			var err error
-			if mp == ccfg.MinProb {
-				// The paper's threshold is the pipeline default, so the
-				// prepared result is this very variant.
-				res, tr = p.Opt, p.OptTrace
-			} else {
-				ccfg.MinProb = mp
-				res, tr, err = p.deriveOptimize(fmt.Sprintf("minprob:%g", mp), ccfg)
-				if err != nil {
-					return nil, err
-				}
-			}
-			st, err := sharedEngine.Simulate(cfg2k, tr)
-			if err != nil {
-				return nil, err
-			}
-			row.Miss[mp] = st.MissRatio()
-			row.Desirable[mp] = res.TraceStats.DesirableFrac()
+		for j, mp := range MinProbValues {
+			out[i].Miss[mp] = points[i*nv+j].miss
+			out[i].Desirable[mp] = points[i*nv+j].desirable
 		}
-		out = append(out, row)
 	}
 	return out, nil
 }
@@ -251,31 +261,49 @@ func RenderAblationMinProb(rows []AblationMinProbRow) string {
 // declaration order, with inline expansion and intra-function layout
 // held fixed. Returns the suite-average 2KB/64B direct-mapped miss
 // ratio with DFS enabled and disabled.
+//
+// Each benchmark is one task on the suite's pool.
+//
+// Each benchmark is one task on the suite's pool.
 func AblationGlobal(s *Suite) (withDFS, withoutDFS float64, err error) {
-	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	for _, p := range s.Items {
-		// With DFS: the prepared full-pipeline trace.
-		st, err := sharedEngine.Simulate(cfg2k, p.OptTrace)
-		if err != nil {
-			return 0, 0, err
-		}
-		withDFS += st.MissRatio()
-
-		// Without DFS: full pipeline minus the global order.
-		ccfg := p.cfg
-		ccfg.Strategy = core.Strategy{Inline: true, TraceLayout: true, SplitCold: true}
-		_, tr, err := p.deriveOptimize("global:no-dfs", ccfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		st, err = sharedEngine.Simulate(cfg2k, tr)
-		if err != nil {
-			return 0, 0, err
-		}
-		withoutDFS += st.MissRatio()
+	pairs, err := globalOrders(s, "global:no-dfs", func(cfg *core.Config) {
+		cfg.Strategy = core.Strategy{Inline: true, TraceLayout: true, SplitCold: true}
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, m := range pairs {
+		withDFS += m.dfs
+		withoutDFS += m.alt
 	}
 	n := float64(len(s.Items))
 	return withDFS / n, withoutDFS / n, nil
+}
+
+// orderMiss is one benchmark's 2KB/64B direct-mapped miss ratio under
+// the prepared pipeline (dfs) and under a global-layout variant (alt).
+type orderMiss struct{ dfs, alt float64 }
+
+// globalOrders measures orderMiss for every benchmark, the variant
+// being the back end with tweak applied to its configuration; one task
+// per benchmark on the suite's pool.
+func globalOrders(s *Suite, variant string, tweak func(*core.Config)) ([]orderMiss, error) {
+	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
+	return collect(s.engine(), len(s.Items), func(w worker, i int) (orderMiss, error) {
+		p := s.Items[i]
+		dfs, err := w.simulate(cfg2k, p.OptTrace)
+		if err != nil {
+			return orderMiss{}, err
+		}
+		ccfg := p.cfg
+		tweak(&ccfg)
+		_, tr, err := p.deriveOptimize(w, variant, ccfg)
+		if err != nil {
+			return orderMiss{}, err
+		}
+		alt, err := w.simulate(cfg2k, tr)
+		return orderMiss{dfs.MissRatio(), alt.MissRatio()}, err
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -303,7 +331,7 @@ func AblationReplacement(s *Suite) ([]AblationReplacementRow, error) {
 				cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 4, Replacement: rep}})
 		}
 	}
-	stats, err := sharedEngine.Batch(reqs)
+	stats, err := s.engine().Batch(reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -350,31 +378,16 @@ type AblationGlobalAlgoRow struct {
 	PHMiss  float64
 }
 
-// AblationGlobalAlgo compares the two historical global orderings.
+// AblationGlobalAlgo compares the two historical global orderings,
+// one task per benchmark on the suite's pool.
 func AblationGlobalAlgo(s *Suite) ([]AblationGlobalAlgoRow, error) {
-	cfg2k := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	var out []AblationGlobalAlgoRow
-	for _, p := range s.Items {
-		dfs, err := sharedEngine.Simulate(cfg2k, p.OptTrace)
-		if err != nil {
-			return nil, err
-		}
-
-		ccfg := p.cfg
-		ccfg.Strategy.PettisHansen = true
-		_, tr, err := p.deriveOptimize("globalalgo:ph", ccfg)
-		if err != nil {
-			return nil, err
-		}
-		ph, err := sharedEngine.Simulate(cfg2k, tr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationGlobalAlgoRow{
-			Name:    p.Name(),
-			DFSMiss: dfs.MissRatio(),
-			PHMiss:  ph.MissRatio(),
-		})
+	pairs, err := globalOrders(s, "globalalgo:ph", func(cfg *core.Config) { cfg.Strategy.PettisHansen = true })
+	if err != nil {
+		return nil, err
+	}
+	out := make([]AblationGlobalAlgoRow, len(s.Items))
+	for i, p := range s.Items {
+		out[i] = AblationGlobalAlgoRow{Name: p.Name(), DFSMiss: pairs[i].dfs, PHMiss: pairs[i].alt}
 	}
 	return out, nil
 }

@@ -99,7 +99,7 @@ func BoundCheck(s *Suite) ([]BoundRow, error) {
 			}
 		}
 	}
-	stats, err := sharedEngine.Batch(reqs)
+	stats, err := s.engine().Batch(reqs)
 	if err != nil {
 		return nil, err
 	}

@@ -60,13 +60,14 @@ func TestBoundsBracketAcrossAblations(t *testing.T) {
 		{"no-split", core.Strategy{Inline: true, TraceLayout: true, GlobalDFS: true}},
 	}
 	geom := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
+	pool := worker{e: s.engine()}
 	for _, p := range s.Items[:3] {
 		b := p.Bench
 		for _, sc := range strategies {
 			ccfg := core.DefaultConfig(b.ProfileSeeds...)
 			ccfg.Interp = b.InterpConfig()
 			ccfg.Strategy = sc.st
-			res, tr, err := p.deriveOptimize("layout:"+sc.name, ccfg)
+			res, tr, err := p.deriveOptimize(pool, "layout:"+sc.name, ccfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p.Name(), sc.name, err)
 			}
@@ -78,7 +79,7 @@ func TestBoundsBracketAcrossAblations(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: analyze: %v", p.Name(), sc.name, err)
 			}
-			st, err := sharedEngine.Simulate(geom, tr)
+			st, err := pool.simulate(geom, tr)
 			if err != nil {
 				t.Fatalf("%s/%s: simulate: %v", p.Name(), sc.name, err)
 			}

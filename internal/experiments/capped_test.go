@@ -8,10 +8,11 @@ import (
 	"impact/internal/workload"
 )
 
-// spinner returns a benchmark whose every run reaches the instruction
-// cap: main loops over one 8-instruction block with exit probability
-// 1e-12. Its cap is 4*TargetInstrs + 2^20 = 1048580 instructions.
-func spinner() *workload.Benchmark {
+// spinner returns a benchmark named name whose every run reaches the
+// instruction cap: main loops over one 8-instruction block with exit
+// probability 1e-12. Its cap is 4*TargetInstrs + 2^20 = 1048580
+// instructions.
+func spinner(name string) *workload.Benchmark {
 	pb := ir.NewProgramBuilder()
 	fb := pb.NewFunc("main")
 	body := fb.NewBlock()
@@ -20,7 +21,7 @@ func spinner() *workload.Benchmark {
 	fb.Branch(body, ir.Arc{To: body, Prob: 1 - 1e-12}, ir.Arc{To: exit, Prob: 1e-12})
 	fb.Ret(exit)
 	return &workload.Benchmark{
-		Params:       workload.Params{Name: "spin", TargetInstrs: 1},
+		Params:       workload.Params{Name: name, TargetInstrs: 1},
 		Prog:         pb.Build(),
 		ProfileSeeds: []uint64{1, 2},
 		EvalSeed:     3,
@@ -36,10 +37,14 @@ func spinner() *workload.Benchmark {
 // variant's own check. (A back-end-only variant such as a MIN_PROB
 // threshold executes the prepared program's instructions and so caps
 // only when preparing did; core.BackEnd also refuses a mode stricter
-// than its front end's, so only its warn row is reachable here.)
+// than its front end's, so only its warn row is reachable here.) Both
+// benchmarks of the suite cap and run in parallel on four workers; each
+// strict row repeats 20 times, and its error must always name the
+// first benchmark in suite order, whichever finished first.
 func TestCappedEvaluationStrict(t *testing.T) {
+	withWorkers(t, 4)
 	prepare := func(mode check.Mode) (*Suite, error) {
-		return PrepareBenchmarksWith([]*workload.Benchmark{spinner()}, Options{Check: mode})
+		return PrepareBenchmarksWith([]*workload.Benchmark{spinner("spin"), spinner("spin2")}, Options{Check: mode})
 	}
 	derived := func(table func(*Suite) error) func(check.Mode) error {
 		return func(mode check.Mode) error {
@@ -47,7 +52,9 @@ func TestCappedEvaluationStrict(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			s.Items[0].cfg.Check = mode
+			for _, p := range s.Items {
+				p.cfg.Check = mode
+			}
 			return table(s)
 		}
 	}
@@ -74,13 +81,19 @@ func TestCappedEvaluationStrict(t *testing.T) {
 		{"layout/warn", check.Warn, layouts, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.run(tc.mode)
-			got := ""
-			if err != nil {
-				got = err.Error()
+			reps := 1
+			if tc.mode == check.Strict {
+				reps = 20
 			}
-			if got != tc.want {
-				t.Errorf("error %q\nwant  %q", got, tc.want)
+			for rep := 0; rep < reps; rep++ {
+				err := tc.run(tc.mode)
+				got := ""
+				if err != nil {
+					got = err.Error()
+				}
+				if got != tc.want {
+					t.Fatalf("rep %d: error %q\nwant  %q", rep, got, tc.want)
+				}
 			}
 		})
 	}

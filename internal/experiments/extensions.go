@@ -30,15 +30,11 @@ type TimingRow struct {
 // ExtTimingLatency is the modelled initial memory latency in cycles.
 const ExtTimingLatency = 8
 
-// ExtTiming measures effective access time across block sizes.
+// ExtTiming measures effective access time across block sizes, in one
+// engine batch.
 func ExtTiming(s *Suite) ([]TimingRow, error) {
-	var out []TimingRow
+	var reqs []SimRequest
 	for _, p := range s.Items {
-		row := TimingRow{
-			Name:         p.Name(),
-			ForwardEAT:   make(map[int]float64),
-			NoForwardEAT: make(map[int]float64),
-		}
 		for _, bs := range Table7BlockSizes {
 			fwd := cache.Config{
 				SizeBytes: 2048, BlockBytes: bs, Assoc: 1,
@@ -46,18 +42,25 @@ func ExtTiming(s *Suite) ([]TimingRow, error) {
 			}
 			nofwd := fwd
 			nofwd.Timing = &cache.TimingConfig{InitialLatency: ExtTimingLatency}
-			sf, err := measure(p, fwd, true)
-			if err != nil {
-				return nil, err
-			}
-			sn, err := measure(p, nofwd, true)
-			if err != nil {
-				return nil, err
-			}
-			row.ForwardEAT[bs] = sf.EffectiveAccessTime()
-			row.NoForwardEAT[bs] = sn.EffectiveAccessTime()
+			reqs = append(reqs, SimRequest{p.OptTrace, fwd}, SimRequest{p.OptTrace, nofwd})
 		}
-		out = append(out, row)
+	}
+	stats, err := s.engine().Batch(reqs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]TimingRow, len(s.Items))
+	for i, p := range s.Items {
+		out[i] = TimingRow{
+			Name:         p.Name(),
+			ForwardEAT:   make(map[int]float64),
+			NoForwardEAT: make(map[int]float64),
+		}
+		for _, bs := range Table7BlockSizes {
+			out[i].ForwardEAT[bs] = stats[0].EffectiveAccessTime()
+			out[i].NoForwardEAT[bs] = stats[1].EffectiveAccessTime()
+			stats = stats[2:]
+		}
 	}
 	return out, nil
 }
@@ -115,27 +118,28 @@ type PagingRow struct {
 	OptWS, NatWS float64
 }
 
-// ExtPaging measures instruction paging behaviour under cfg.
+// ExtPaging measures instruction paging behaviour under cfg, one task
+// per benchmark on the suite's pool.
 func ExtPaging(s *Suite, cfg paging.Config) ([]PagingRow, error) {
-	var out []PagingRow
-	for _, p := range s.Items {
+	return collect(s.engine(), len(s.Items), func(_ worker, i int) (PagingRow, error) {
+		p := s.Items[i]
 		so, err := paging.Simulate(cfg, p.OptTrace)
 		if err != nil {
-			return nil, err
+			return PagingRow{}, err
 		}
 		sn, err := paging.Simulate(cfg, p.NatTrace)
 		if err != nil {
-			return nil, err
+			return PagingRow{}, err
 		}
 		wo, err := paging.WorkingSet(p.OptTrace, cfg.PageBytes, ExtPagingWindow)
 		if err != nil {
-			return nil, err
+			return PagingRow{}, err
 		}
 		wn, err := paging.WorkingSet(p.NatTrace, cfg.PageBytes, ExtPagingWindow)
 		if err != nil {
-			return nil, err
+			return PagingRow{}, err
 		}
-		out = append(out, PagingRow{
+		return PagingRow{
 			Name:      p.Name(),
 			OptPages:  so.PagesTouched,
 			NatPages:  sn.PagesTouched,
@@ -143,9 +147,8 @@ func ExtPaging(s *Suite, cfg paging.Config) ([]PagingRow, error) {
 			NatFaults: sn.Faults,
 			OptWS:     wo,
 			NatWS:     wn,
-		})
-	}
-	return out, nil
+		}, nil
+	})
 }
 
 // RenderExtPaging formats E2.
@@ -185,32 +188,30 @@ type PrefetchRow struct {
 	NatAccuracy float64
 }
 
-// ExtPrefetch measures prefetch-on-miss against plain demand fetch.
+// ExtPrefetch measures prefetch-on-miss against plain demand fetch, in
+// one engine batch.
 func ExtPrefetch(s *Suite) ([]PrefetchRow, error) {
 	base := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
 	pf := base
 	pf.PrefetchNext = true
-	var out []PrefetchRow
+	var reqs []SimRequest
 	for _, p := range s.Items {
-		sp, err := measure(p, base, true)
-		if err != nil {
-			return nil, err
-		}
-		sf, err := measure(p, pf, true)
-		if err != nil {
-			return nil, err
-		}
-		sn, err := measure(p, pf, false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PrefetchRow{
+		reqs = append(reqs, SimRequest{p.OptTrace, base}, SimRequest{p.OptTrace, pf}, SimRequest{p.NatTrace, pf})
+	}
+	stats, err := s.engine().Batch(reqs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]PrefetchRow, len(s.Items))
+	for i, p := range s.Items {
+		sp, sf, sn := stats[3*i], stats[3*i+1], stats[3*i+2]
+		out[i] = PrefetchRow{
 			Name:        p.Name(),
 			Plain:       CacheResult{Miss: sp.MissRatio(), Traffic: sp.TrafficRatio()},
 			Prefetch:    CacheResult{Miss: sf.MissRatio(), Traffic: sf.TrafficRatio()},
 			Accuracy:    sf.PrefetchAccuracy(),
 			NatAccuracy: sn.PrefetchAccuracy(),
-		})
+		}
 	}
 	return out, nil
 }

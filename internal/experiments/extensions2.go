@@ -29,27 +29,27 @@ type HierarchyRow struct {
 	NatL1Miss, NatGlobal float64
 }
 
-// ExtHierarchy measures the two-level system.
+// ExtHierarchy measures the two-level system, one task per benchmark
+// on the suite's pool.
 func ExtHierarchy(s *Suite) ([]HierarchyRow, error) {
-	var out []HierarchyRow
-	for _, p := range s.Items {
+	return collect(s.engine(), len(s.Items), func(_ worker, i int) (HierarchyRow, error) {
+		p := s.Items[i]
 		s1o, s2o, err := cache.SimulateHierarchy(HierarchyL1, HierarchyL2, p.OptTrace)
 		if err != nil {
-			return nil, err
+			return HierarchyRow{}, err
 		}
 		s1n, s2n, err := cache.SimulateHierarchy(HierarchyL1, HierarchyL2, p.NatTrace)
 		if err != nil {
-			return nil, err
+			return HierarchyRow{}, err
 		}
-		out = append(out, HierarchyRow{
+		return HierarchyRow{
 			Name:      p.Name(),
 			OptL1Miss: s1o.MissRatio(),
 			OptGlobal: float64(s2o.Misses) / float64(s1o.Accesses),
 			NatL1Miss: s1n.MissRatio(),
 			NatGlobal: float64(s2n.Misses) / float64(s1n.Accesses),
-		})
-	}
-	return out, nil
+		}, nil
+	})
 }
 
 // RenderExtHierarchy formats E4.
@@ -80,31 +80,32 @@ type ExtendedRow struct {
 
 // ExtExtendedSuite runs the full pipeline on the extension benchmarks
 // and measures the 2KB/64B direct-mapped design point against the
-// natural baseline. The scale applies to the extension's dynamic
-// trace lengths.
+// natural baseline, in one batch on the extension suite's own engine.
+// The scale applies to the extension's dynamic trace lengths.
 func ExtExtendedSuite(scale float64) ([]ExtendedRow, error) {
 	suite, err := PrepareBenchmarks(workload.ExtendedSuite(scale))
 	if err != nil {
 		return nil, err
 	}
 	cfg := cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1}
-	var out []ExtendedRow
+	var reqs []SimRequest
 	for _, p := range suite.Items {
-		so, err := measure(p, cfg, true)
-		if err != nil {
-			return nil, err
-		}
-		sn, err := measure(p, cfg, false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ExtendedRow{
+		reqs = append(reqs, SimRequest{p.OptTrace, cfg}, SimRequest{p.NatTrace, cfg})
+	}
+	stats, err := suite.engine().Batch(reqs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ExtendedRow, len(suite.Items))
+	for i, p := range suite.Items {
+		so, sn := stats[2*i], stats[2*i+1]
+		out[i] = ExtendedRow{
 			Name:        p.Name(),
 			StaticBytes: p.Opt.TotalBytes,
 			OptMiss:     so.MissRatio(),
 			NatMiss:     sn.MissRatio(),
 			OptTraffic:  so.TrafficRatio(),
-		})
+		}
 	}
 	return out, nil
 }

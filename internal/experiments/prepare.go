@@ -15,7 +15,6 @@ package experiments
 import (
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,6 +54,9 @@ type Prepared struct {
 	// interpreter budget, and the suite's verification mode. Derived
 	// runs copy it and tweak only back-end knobs.
 	cfg core.Config
+	// obs is the suite's registry (nil when unobserved). Derived runs
+	// report to it on the lane of the pool task that asked for them.
+	obs *obs.Registry
 
 	// derived memoizes pipeline-variant outputs (ablation strategies,
 	// MIN_PROB sweeps, code scaling) keyed by variant name. The
@@ -83,47 +85,55 @@ type Prepared struct {
 
 // derivedVariant is one memoized pipeline re-run.
 type derivedVariant struct {
-	res *core.Result
-	tr  *memtrace.Trace
-	err error
+	once sync.Once
+	res  *core.Result
+	tr   *memtrace.Trace
+	err  error
 }
 
 // deriveTrace returns the memoized (pipeline result, evaluation trace)
 // for the named variant, building it on first use. Errors are cached
 // too — a deterministic build that failed once will fail identically.
-// The per-variant lock is held across the build: concurrent callers of
-// the same variant wait rather than duplicating a pipeline run.
+// The benchmark's mutex guards only the map lookup; the build runs
+// under the variant's own once, so concurrent callers of one variant
+// wait for a single build while other variants of the benchmark build
+// alongside it.
 func (p *Prepared) deriveTrace(variant string, build func() (*core.Result, *memtrace.Trace, error)) (*core.Result, *memtrace.Trace, error) {
 	p.derivedMu.Lock()
-	defer p.derivedMu.Unlock()
 	if p.derived == nil {
 		p.derived = make(map[string]*derivedVariant)
 	}
 	v, ok := p.derived[variant]
 	if !ok {
 		v = &derivedVariant{}
-		v.res, v.tr, v.err = build()
 		p.derived[variant] = v
 	}
+	p.derivedMu.Unlock()
+	v.once.Do(func() { v.res, v.tr, v.err = build() })
 	return v.res, v.tr, v.err
 }
 
 // deriveOptimize is deriveTrace for the common shape: run the back end
 // with a tweaked config on the shared front end, then trace the
-// evaluation run. cfg must keep p.cfg's front-end settings.
-func (p *Prepared) deriveOptimize(variant string, cfg core.Config) (*core.Result, *memtrace.Trace, error) {
+// evaluation run, both attributed to w. cfg must keep p.cfg's
+// front-end settings.
+func (p *Prepared) deriveOptimize(w worker, variant string, cfg core.Config) (*core.Result, *memtrace.Trace, error) {
 	return p.deriveTrace(variant, func() (*core.Result, *memtrace.Trace, error) {
+		cfg.Obs, cfg.Lane = p.obs, w.lane
 		res, err := core.BackEnd(p.Front, cfg)
-		return p.traced(variant, res, err)
+		return p.traced(w, variant, res, err)
 	})
 }
 
-// traced pairs a pipeline variant's result with its evaluation trace.
-func (p *Prepared) traced(variant string, res *core.Result, err error) (*core.Result, *memtrace.Trace, error) {
+// traced pairs a pipeline variant's result with its evaluation trace,
+// recording the evaluation run on w's lane.
+func (p *Prepared) traced(w worker, variant string, res *core.Result, err error) (*core.Result, *memtrace.Trace, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, run, err := res.EvalTrace(p.Bench.EvalSeed, p.Bench.EvalConfig())
+	tr, run, err := p.evalTrace(w, func() (*memtrace.Trace, interp.Result, error) {
+		return res.EvalTrace(p.Bench.EvalSeed, p.Bench.EvalConfig())
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -131,6 +141,20 @@ func (p *Prepared) traced(variant string, res *core.Result, err error) (*core.Re
 		return nil, nil, err
 	}
 	return res, tr, nil
+}
+
+// evalTrace runs one derived evaluation trace under an "evaltrace"
+// span on w's lane and records the run in the interp.* metrics.
+func (p *Prepared) evalTrace(w worker, trace func() (*memtrace.Trace, interp.Result, error)) (*memtrace.Trace, interp.Result, error) {
+	sp := p.obs.SpanOn(w.lane, "evaltrace")
+	defer sp.End()
+	//lint:walltime trace-timing metric only; results are clock-free
+	start := time.Now()
+	tr, run, err := trace()
+	if err == nil {
+		interp.Record(p.obs, run, time.Since(start))
+	}
+	return tr, run, err
 }
 
 // capError is the strict verdict on an evaluation run: under
@@ -161,6 +185,23 @@ func (p *Prepared) Name() string { return p.Bench.Name() }
 // Suite is the prepared experiment state for all benchmarks.
 type Suite struct {
 	Items []*Prepared
+
+	// eng measures and schedules everything the suite's tables ask
+	// for; its pool is where the experiments decide parallelism.
+	engOnce sync.Once
+	eng     *Engine
+}
+
+// engine returns the suite's engine. A suite assembled by hand (a
+// subset of a prepared one, say) gets a fresh engine without a
+// registry on first use, tuned by Configure.
+func (s *Suite) engine() *Engine {
+	s.engOnce.Do(func() {
+		if s.eng == nil {
+			s.eng = newSuiteEngine(nil)
+		}
+	})
+	return s.eng
 }
 
 // Progress describes one benchmark finishing preparation.
@@ -227,91 +268,60 @@ func PrepareWith(scale float64, opts Options) (*Suite, error) {
 }
 
 // PrepareBenchmarks runs the pipeline on the given benchmarks,
-// in parallel across CPUs.
+// in parallel on the suite engine's pool.
 func PrepareBenchmarks(benchmarks []*workload.Benchmark) (*Suite, error) {
 	return PrepareBenchmarksWith(benchmarks, Options{})
 }
 
-// PrepareBenchmarksWith runs the pipeline on the given benchmarks in
-// parallel across CPUs, reporting per-benchmark progress and metrics
-// through opts.
+// PrepareBenchmarksWith creates the suite's engine from the
+// process-wide setting (Configure) and runs the pipeline on the given
+// benchmarks on its pool, reporting per-benchmark progress and metrics
+// through opts. Each lane is a "prepare-worker-N" timeline row.
 func PrepareBenchmarksWith(benchmarks []*workload.Benchmark, opts Options) (*Suite, error) {
-	if opts.Obs != nil {
-		sharedEngine.AttachObs(opts.Obs)
-	}
+	eng := newSuiteEngine(opts.Obs)
 	items := make([]*Prepared, len(benchmarks))
-	errs := make([]error, len(benchmarks))
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		// Two workers even on one core: preparation interleaves
-		// harmlessly and the timeline keeps its parallel structure.
-		workers = 2
-	}
-	if workers > len(benchmarks) {
-		workers = len(benchmarks)
-	}
 	//lint:walltime progress reporting only; results are clock-free
 	start := time.Now()
 	var busyNS atomic.Int64
 	var done atomic.Int64
 	var progressMu sync.Mutex
-	var wg sync.WaitGroup
-	// A fixed channel-fed pool rather than goroutine-per-benchmark:
-	// each worker owns one timeline lane ("prepare-worker-N"), so the
-	// trace shows benchmark preparation as parallel rows.
-	type job struct {
-		i int
-		b *workload.Benchmark
-	}
-	jobs := make(chan job)
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			lane := opts.Obs.NewLane(fmt.Sprintf("prepare-worker-%d", wkr))
-			for j := range jobs {
-				i, b := j.i, j.b
-				sp := opts.Obs.SpanOn(lane, "prepare/benchmark")
-				sp.SetAttr("benchmark", b.Name())
-				//lint:walltime progress reporting only; results are clock-free
-				bStart := time.Now()
-				items[i], errs[i] = prepareOne(b, opts, lane)
-				elapsed := time.Since(bStart)
-				sp.End()
-				busyNS.Add(int64(elapsed))
-				n := int(done.Add(1))
-				opts.Obs.Histogram("prepare.benchmark").Observe(elapsed)
-				opts.Obs.Gauge("prepare." + b.Name() + ".seconds").Set(elapsed.Seconds())
-				opts.logger().Debug("benchmark prepared",
-					"benchmark", b.Name(), "elapsed", elapsed, "done", n, "total", len(benchmarks))
-				if opts.Progress != nil {
-					progressMu.Lock()
-					opts.Progress(Progress{Done: n, Total: len(benchmarks), Benchmark: b.Name(), Elapsed: elapsed})
-					progressMu.Unlock()
-				}
-			}
-		}(wkr)
-	}
-	for i, b := range benchmarks {
-		jobs <- job{i: i, b: b}
-	}
-	close(jobs)
-	wg.Wait()
+	err := eng.spread("prepare-worker", len(benchmarks), func(w worker, i int) error {
+		b := benchmarks[i]
+		sp := opts.Obs.SpanOn(w.lane, "prepare/benchmark")
+		sp.SetAttr("benchmark", b.Name())
+		//lint:walltime progress reporting only; results are clock-free
+		bStart := time.Now()
+		p, err := prepareOne(b, opts, w.lane)
+		elapsed := time.Since(bStart)
+		sp.End()
+		busyNS.Add(int64(elapsed))
+		n := int(done.Add(1))
+		opts.Obs.Histogram("prepare.benchmark").Observe(elapsed)
+		opts.Obs.Gauge("prepare." + b.Name() + ".seconds").Set(elapsed.Seconds())
+		opts.logger().Debug("benchmark prepared",
+			"benchmark", b.Name(), "elapsed", elapsed, "done", n, "total", len(benchmarks))
+		if opts.Progress != nil {
+			progressMu.Lock()
+			opts.Progress(Progress{Done: n, Total: len(benchmarks), Benchmark: b.Name(), Elapsed: elapsed})
+			progressMu.Unlock()
+		}
+		if err != nil {
+			return fmt.Errorf("experiments: %s: %w", b.Name(), err)
+		}
+		items[i] = p
+		return nil
+	})
 	wall := time.Since(start)
 	if n := len(benchmarks); n > 0 && wall > 0 {
-		if n < workers {
-			workers = n
-		}
+		workers := min(eng.workers(), n)
 		util := float64(busyNS.Load()) / (wall.Seconds() * 1e9 * float64(workers))
 		opts.Obs.Gauge("prepare.worker_utilization").Set(util)
 		opts.Obs.Gauge("prepare.wall_seconds").Set(wall.Seconds())
 	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", benchmarks[i].Name(), err)
-		}
+	if err != nil {
+		return nil, err
 	}
-	return &Suite{Items: items}, nil
+	return &Suite{Items: items, eng: eng}, nil
 }
 
 func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, error) {
@@ -361,6 +371,7 @@ func prepareOne(b *workload.Benchmark, opts Options, lane obs.Lane) (*Prepared, 
 		OptRun:   optRun,
 		NatRun:   natRun,
 		cfg:      base,
+		obs:      opts.Obs,
 	}
 	for _, e := range []struct {
 		layout string

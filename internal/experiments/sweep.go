@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -29,10 +30,15 @@ import (
 //     by one stack pass per group (sweep.StackPass), and the remainder
 //     share one broadcast replay per trace (cache.MultiSimulate).
 //
-// Each work unit is one serial trace pass; units run concurrently on a
-// bounded worker pool. Every derived statistic is bit-identical to
-// sequential cache.Simulate — the differential tests in sweep_test.go
-// and internal/cache/sweep pin this.
+// Each work unit is one serial trace pass; units run concurrently on
+// the engine's pool, largest first. Every derived statistic is
+// bit-identical to sequential cache.Simulate — the differential tests
+// in sweep_test.go and internal/cache/sweep pin this.
+//
+// The pool is also where the experiments decide parallelism at all:
+// every Suite owns one Engine, and the table builders submit their
+// per-benchmark and per-variant work to it as tasks (Engine.each),
+// so one worker count bounds the whole reproduction.
 
 // SimRequest names one measurement: a trace replayed into a cache
 // organisation.
@@ -151,8 +157,9 @@ type Engine struct {
 // "keep the current setting": GOMAXPROCS at construction, or whatever
 // a previous Configure chose.
 type EngineConfig struct {
-	// Workers caps the number of trace passes measured concurrently.
-	// Zero means GOMAXPROCS; one forces strictly serial measurement.
+	// Workers caps the number of lanes the engine's pool runs at once:
+	// trace passes, table tasks and the suite's prepare. Zero means
+	// GOMAXPROCS; one runs everything serially on the calling goroutine.
 	Workers int
 }
 
@@ -174,27 +181,44 @@ func (e *Engine) Configure(cfg EngineConfig) {
 	}
 }
 
-// Configure applies cfg to the shared engine backing the package-level
-// experiment entry points.
-func Configure(cfg EngineConfig) { sharedEngine.Configure(cfg) }
-
-// tuning resolves the worker count for one batch. explicit reports
-// whether it was configured rather than derived from GOMAXPROCS — an
-// explicit 1 suppresses even the unit pool's two-lane floor.
-func (e *Engine) tuning() (workers int, explicit bool) {
-	e.mu.Lock()
-	workers = e.cfg.Workers
-	e.mu.Unlock()
-	if workers > 0 {
-		return workers, true
-	}
-	return runtime.GOMAXPROCS(0), false
+// defaults is the process-wide engine setting (see Configure).
+var defaults struct {
+	mu  sync.Mutex
+	cfg EngineConfig
 }
 
-// sharedEngine backs every measurement in this package, so results are
-// shared across tables, ablations, and repeated invocations within a
-// process.
-var sharedEngine = NewEngine()
+// Configure sets the process-wide engine tuning that every suite
+// prepared afterwards starts its engine from; zero fields keep the
+// current setting.
+func Configure(cfg EngineConfig) {
+	defaults.mu.Lock()
+	defer defaults.mu.Unlock()
+	if cfg.Workers != 0 {
+		defaults.cfg.Workers = cfg.Workers
+	}
+}
+
+// newSuiteEngine returns an engine tuned by the process-wide setting,
+// reporting to r (which may be nil).
+func newSuiteEngine(r *obs.Registry) *Engine {
+	e := NewEngine()
+	defaults.mu.Lock()
+	e.cfg = defaults.cfg
+	defaults.mu.Unlock()
+	e.AttachObs(r)
+	return e
+}
+
+// workers resolves the pool's lane count.
+func (e *Engine) workers() int {
+	e.mu.Lock()
+	workers := e.cfg.Workers
+	e.mu.Unlock()
+	if workers > 0 {
+		return workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // AttachObs routes engine metrics to r (counters sweep.sims_run,
 // sweep.sims_memoized, sweep.stack_pass_sizes, sweep.trace_passes and
@@ -251,11 +275,19 @@ type workUnit struct {
 
 // Batch measures every request, deduplicating against the memo and
 // within the batch, and returns results in request order.
-func (e *Engine) Batch(reqs []SimRequest) ([]cache.Stats, error) {
+func (e *Engine) Batch(reqs []SimRequest) ([]cache.Stats, error) { return e.batch(nil, reqs) }
+
+// batch is Batch; a non-nil in is the pool task issuing it, whose lane
+// then runs every trace pass inline (see worker).
+func (e *Engine) batch(in *worker, reqs []SimRequest) ([]cache.Stats, error) {
 	o := e.obs.Load()
+	var lane obs.Lane
+	if in != nil {
+		lane = in.lane
+	}
 	var sp *obs.Span
 	if o != nil {
-		sp = o.reg.Span("sweep/batch")
+		sp = o.reg.SpanOn(lane, "sweep/batch")
 		sp.SetAttrInt("requests", int64(len(reqs)))
 	}
 	defer sp.End()
@@ -313,7 +345,7 @@ func (e *Engine) Batch(reqs []SimRequest) ([]cache.Stats, error) {
 		if len(pending) == 0 {
 			// A fully-memoized batch leaves no task span behind; the
 			// instant event keeps the hit visible on the timeline.
-			o.reg.Emit(0, "sweep/memo",
+			o.reg.Emit(lane, "sweep/memo",
 				obs.Attr{Key: "memo", Val: "hit"},
 				obs.Int64Attr("requests", int64(len(reqs))))
 		}
@@ -323,18 +355,13 @@ func (e *Engine) Batch(reqs []SimRequest) ([]cache.Stats, error) {
 	}
 
 	units := e.plan(pending)
-	pool, explicit := e.tuning()
-	// The unit pool keeps its historical two-lane floor (trace passes
-	// interleave harmlessly and the timeline stays legible on one core)
-	// unless the caller explicitly asked for serial measurement.
-	unitPool := pool
-	if !explicit && unitPool < 2 {
-		unitPool = 2
-	}
 	results := make(map[simKey]cache.Stats, len(pending))
 	var resMu sync.Mutex
-	if err := runUnits(o, unitPool, units, func(u workUnit) error {
+	do := func(w worker, i int) error {
+		u := units[i]
+		sp := o.task(w.lane, u)
 		got, p, err := u.run()
+		sp.End()
 		if err != nil {
 			return err
 		}
@@ -355,7 +382,12 @@ func (e *Engine) Batch(reqs []SimRequest) ([]cache.Stats, error) {
 			}
 		}
 		return nil
-	}); err != nil {
+	}
+	run := e.each
+	if in != nil {
+		run = in.each
+	}
+	if err := run(len(units), do); err != nil {
 		return nil, err
 	}
 
@@ -428,8 +460,14 @@ func (e *Engine) plan(pending map[simKey]*memtrace.Trace) []workUnit {
 	for _, u := range replay {
 		units = append(units, *u)
 	}
+	// Largest first: the pool starts units in slice order, so the
+	// longest passes never trail at the end of a batch.
+	sort.Slice(units, func(i, j int) bool { return units[i].cost() > units[j].cost() })
 	return units
 }
+
+// cost estimates a unit's work: trace runs times organisations.
+func (u workUnit) cost() int { return len(u.tr.Runs) * len(u.keys) }
 
 // passStats serves k from a retained stack pass, if one covers it.
 // Caller holds e.mu.
@@ -476,75 +514,126 @@ func (u workUnit) run() ([]cache.Stats, *sweep.StackPass, error) {
 	return out, nil, err
 }
 
-// runUnits executes the units on a worker pool bounded by pool and
-// returns the first error. Each worker owns one timeline lane
-// ("sweep-worker-N", stable across batches because tracer lanes dedupe
-// by name), and every unit runs under a "sweep/task" span on that lane
-// carrying its kind and size — the concurrency structure of a sweep is
-// legible straight off the timeline. pool == 1 (an explicit Workers: 1
-// or a GOMAXPROCS=1 host) runs strictly serial: no goroutines at all.
-func runUnits(o *sweepObs, pool int, units []workUnit, do func(workUnit) error) error {
-	if len(units) == 0 {
+// task opens the "sweep/task" span of unit u on lane, carrying its
+// kind and size, so the concurrency structure of a sweep is legible
+// straight off the timeline. Nil without a registry.
+func (o *sweepObs) task(lane obs.Lane, u workUnit) *obs.Span {
+	if o == nil {
 		return nil
 	}
-	run := func(lane obs.Lane, u workUnit) error {
-		if o == nil {
-			return do(u)
-		}
-		sp := o.reg.SpanOn(lane, "sweep/task")
-		if u.stack {
-			sp.SetAttr("kind", "stack")
-		} else {
-			sp.SetAttr("kind", "replay")
-		}
-		sp.SetAttrInt("orgs", int64(len(u.keys)))
-		sp.SetAttrInt("trace_runs", int64(len(u.tr.Runs)))
-		err := do(u)
-		sp.End()
-		return err
+	sp := o.reg.SpanOn(lane, "sweep/task")
+	if u.stack {
+		sp.SetAttr("kind", "stack")
+	} else {
+		sp.SetAttr("kind", "replay")
 	}
-	if pool == 1 {
-		var lane obs.Lane
-		if o != nil {
-			lane = o.reg.NewLane("sweep-worker-0")
-		}
-		for _, u := range units {
-			if err := run(lane, u); err != nil {
-				return err
-			}
-		}
-		return nil
+	sp.SetAttrInt("orgs", int64(len(u.keys)))
+	sp.SetAttrInt("trace_runs", int64(len(u.tr.Runs)))
+	return sp
+}
+
+// A worker is one lane of an engine's pool, handed to every task the
+// pool runs. Measurements a task makes through its worker run inline
+// on that lane: nested work never waits on the pool, so it cannot
+// deadlock, and busy lanes stay at or below Workers.
+type worker struct {
+	e *Engine
+	// lane is the worker's timeline lane (the main lane without a
+	// tracer).
+	lane obs.Lane
+}
+
+// simulate is Engine.Simulate run inline on w's lane.
+func (w worker) simulate(cfg cache.Config, tr *memtrace.Trace) (cache.Stats, error) {
+	out, err := w.e.batch(&w, []SimRequest{{Trace: tr, Config: cfg}})
+	if err != nil {
+		return cache.Stats{}, err
 	}
-	workers := pool
-	if workers > len(units) {
-		workers = len(units)
-	}
-	// Static round-robin assignment rather than a shared queue: units
-	// are few and coarse (whole trace passes), so balance barely
-	// suffers, and every worker is guaranteed a share — the timeline
-	// shows real parallel structure instead of one greedy lane.
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			var lane obs.Lane
-			if o != nil {
-				lane = o.reg.NewLane(fmt.Sprintf("sweep-worker-%d", wkr))
-			}
-			for i := wkr; i < len(units); i += workers {
-				if err := run(lane, units[i]); err != nil && errs[wkr] == nil {
-					errs[wkr] = err
-				}
-			}
-		}(wkr)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	return out[0], nil
+}
+
+// each runs do(w, i) for every i in [0, n) inline on w's lane, stopping
+// at the first error.
+func (w worker) each(n int, do func(w worker, i int) error) error {
+	for i := 0; i < n; i++ {
+		if err := do(w, i); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// each runs do(w, i) for every i in [0, n) as tasks on the engine's
+// pool, whose lanes are named "sweep-worker-N", and returns the first
+// error in item order.
+func (e *Engine) each(n int, do func(w worker, i int) error) error {
+	return e.spread("sweep-worker", n, do)
+}
+
+// spread runs do(w, i) for every i in [0, n) on at most Workers lanes
+// named prefix-N and returns the first error in item order (not in
+// completion order). Lane N starts with item N and then claims the
+// lowest unclaimed item from one shared queue, so items start in index
+// order and every lane gets work. Once an item has failed, later items
+// are skipped: they cannot change the result. Tracer lanes dedupe by
+// name, so the lanes are stable across calls. One lane runs every item
+// on the calling goroutine.
+func (e *Engine) spread(prefix string, n int, do func(w worker, i int) error) error {
+	if n == 0 {
+		return nil
+	}
+	var reg *obs.Registry
+	if o := e.obs.Load(); o != nil {
+		reg = o.reg
+	}
+	lanes := min(e.workers(), n)
+	newWorker := func(k int) worker {
+		return worker{e: e, lane: reg.NewLane(fmt.Sprintf("%s-%d", prefix, k))}
+	}
+	if lanes == 1 {
+		return newWorker(0).each(n, do)
+	}
+	var mu sync.Mutex
+	first, firstErr := n, error(nil) // the lowest failed item so far
+	var next atomic.Int64
+	next.Store(int64(lanes))
+	var wg sync.WaitGroup
+	for k := 0; k < lanes; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			w := newWorker(k)
+			for i := k; i < n; i = int(next.Add(1) - 1) {
+				mu.Lock()
+				skip := i > first
+				mu.Unlock()
+				if skip {
+					continue
+				}
+				if err := do(w, i); err != nil {
+					mu.Lock()
+					if i < first {
+						first, firstErr = i, err
+					}
+					mu.Unlock()
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	return firstErr
+}
+
+// collect runs f for every index in [0, n) as tasks on e's pool and
+// returns the results by index, or the first error in index order.
+func collect[T any](e *Engine, n int, f func(w worker, i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := e.each(n, func(w worker, i int) (err error) {
+		out[i], err = f(w, i)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -192,15 +192,15 @@ func TestEngineWorkersSerial(t *testing.T) {
 // default, and Configure on top (a zero field keeping the layer below).
 func TestEngineTuningLayers(t *testing.T) {
 	e := NewEngine()
-	if w, explicit := e.tuning(); explicit || w != runtime.GOMAXPROCS(0) {
-		t.Errorf("default: got workers=%d explicit=%v, want %d/false", w, explicit, runtime.GOMAXPROCS(0))
+	if w := e.workers(); w != runtime.GOMAXPROCS(0) {
+		t.Errorf("default: got workers=%d, want %d", w, runtime.GOMAXPROCS(0))
 	}
 	e.Configure(EngineConfig{Workers: 5})
-	if w, explicit := e.tuning(); !explicit || w != 5 {
-		t.Errorf("configure: got workers=%d explicit=%v, want 5/true", w, explicit)
+	if w := e.workers(); w != 5 {
+		t.Errorf("configure: got workers=%d, want 5", w)
 	}
 	e.Configure(EngineConfig{})
-	if w, _ := e.tuning(); w != 5 {
+	if w := e.workers(); w != 5 {
 		t.Errorf("zero config: got workers=%d, want 5 kept", w)
 	}
 }

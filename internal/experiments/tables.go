@@ -14,17 +14,6 @@ type CacheResult struct {
 	Traffic float64
 }
 
-// measure replays a prepared trace into a cache configuration through
-// the shared sweep engine, so repeated measurements of the same
-// (trace, organisation) pair are served from the memo.
-func measure(p *Prepared, cfg cache.Config, optimized bool) (cache.Stats, error) {
-	tr := p.OptTrace
-	if !optimized {
-		tr = p.NatTrace
-	}
-	return sharedEngine.Simulate(cfg, tr)
-}
-
 // ---------------------------------------------------------------------------
 // Table 1 — Design target miss ratios (fully associative).
 
@@ -59,7 +48,7 @@ func Table1(s *Suite) ([]Table1Cell, error) {
 			}
 		}
 	}
-	stats, err := sharedEngine.Batch(reqs)
+	stats, err := s.engine().Batch(reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +270,7 @@ func Table6(s *Suite) ([]Table6Row, error) {
 			reqs = append(reqs, SimRequest{p.OptTrace, cache.Config{SizeBytes: cs, BlockBytes: 64, Assoc: 1}})
 		}
 	}
-	stats, err := sharedEngine.Batch(reqs)
+	stats, err := s.engine().Batch(reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +338,7 @@ func Table7(s *Suite) ([]Table7Row, error) {
 			reqs = append(reqs, SimRequest{p.OptTrace, cache.Config{SizeBytes: 2048, BlockBytes: bs, Assoc: 1}})
 		}
 	}
-	stats, err := sharedEngine.Batch(reqs)
+	stats, err := s.engine().Batch(reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +394,7 @@ func Table8(s *Suite) ([]Table8Row, error) {
 			SimRequest{p.OptTrace, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, SectorBytes: 8}},
 			SimRequest{p.OptTrace, cache.Config{SizeBytes: 2048, BlockBytes: 64, Assoc: 1, PartialLoad: true}})
 	}
-	stats, err := sharedEngine.Batch(reqs)
+	stats, err := s.engine().Batch(reqs)
 	if err != nil {
 		return nil, err
 	}
