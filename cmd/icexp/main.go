@@ -275,7 +275,7 @@ func main() {
 			geom := cache.Config{SizeBytes: 512, BlockBytes: 64, Assoc: 1}
 			pcfg := pageFlags.Config()
 			rows, err := experiments.SearchCompare(suite, geom, search.Config{
-				Seed: 1, Workers: *workers, Obs: common.Registry, Paging: &pcfg,
+				Seed: 1, Obs: common.Registry, Paging: &pcfg,
 			})
 			if err != nil {
 				return "", err

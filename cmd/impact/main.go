@@ -30,8 +30,10 @@
 //	    [-restarts N] [-workers N] [cache flags]
 //	    Run the conflict-driven layout search against the greedy
 //	    pipeline and print the simulator-priced comparison (see
-//	    docs/SEARCH.md). -workers races restarts on a portfolio of
-//	    incremental analyzers; the result is identical at any count.
+//	    docs/SEARCH.md). -workers is split between benchmarks, run
+//	    side by side, and each search's portfolio of incremental
+//	    analyzers racing its restarts; the result is identical at any
+//	    count.
 //
 //	impact check -bench <name> [-all] [-scale 1.0] [-strategy ...]
 //	    Run the pipeline with the internal/check verifier enabled and

@@ -65,7 +65,7 @@ func cmdSearch(args []string) {
 
 	scfg := search.Config{
 		Seed: *seed, Budget: *budget, Restarts: *restarts,
-		Workers: *workers, Obs: common.Registry,
+		Obs: common.Registry,
 	}
 	var pcfg *paging.Config
 	if *usePaging {

@@ -43,6 +43,13 @@ import (
 // unions), so the condensed solution is the full subsystem's solution
 // restricted to the writers.
 //
+// That argument holds for any number of dirty sets, so every update
+// takes this path, even one that dirties every set: the per-set systems
+// are smaller than the full vector fixpoint even then, because each one
+// walks only its own writers. The one exception is a layout of a
+// different size. It resizes the line universe, so every state vector
+// changes shape and the whole fixpoint reconverges (fullResolve).
+//
 // The collapse happens in two stages so the expensive graph walk runs
 // once per update, not once per dirty set: first a closure over the
 // whole supergraph condenses pure conduits — regions writing no dirty
@@ -163,7 +170,7 @@ type undoState struct {
 	g     geom
 	addrs []uint32
 	// full holds whole state vectors to reinstall after a full
-	// re-solve (layout size changed, or most sets dirty); cols holds
+	// re-solve (the layout's size changed); cols holds
 	// the previous values of the node columns each condensed per-set
 	// solve overwrote.
 	full []undoRegion
@@ -325,11 +332,15 @@ func (inc *Incremental) spanTouchesDirty(sp lineSpan) bool {
 
 // Update re-analyses the program under lay, re-running the fixpoint
 // only on the cache sets where lay moved code across cache-line
-// boundaries. The result (also retained for Result) is bit-identical
-// to Analyze(lay, w, cfg) except for the Iterations counter, which
-// reports only the node evaluations this update performed. The
-// previous layout's state is kept until the next Update or Revert, so
-// a rejected candidate can be undone in O(dirty lines).
+// boundaries, each as its condensed system however many sets are
+// dirty. Only a layout whose size differs from the current one
+// reconverges the whole fixpoint (counted by
+// analysis.incremental_full_resolves). The result (also retained for
+// Result) is bit-identical to Analyze(lay, w, cfg) except for the
+// Iterations counter, which reports only the node evaluations this
+// update performed. The previous layout's state is kept until the next
+// Update or Revert, so a rejected candidate can be undone in O(dirty
+// lines).
 func (inc *Incremental) Update(lay *layout.Layout) (*Result, error) {
 	if lay.Program() != inc.lay.Program() {
 		return nil, fmt.Errorf("analysis: incremental update with a different program")
@@ -438,10 +449,9 @@ func (inc *Incremental) Update(lay *layout.Layout) (*Result, error) {
 		// granularity): the fixpoint and the persistence fits are
 		// untouched, only the address-dependent linear passes rerun.
 
-	case resizeAll || 2*len(inc.dirtySets) > int(g.numSets):
-		// Full re-solve: when the line universe resized or the move
-		// perturbed most sets, the condensed systems cover (nearly) the
-		// whole fixpoint and a plain reconvergence is cheaper.
+	case resizeAll:
+		// The line universe resized: every state vector has the wrong
+		// length, so the whole fixpoint reconverges.
 		iterations, evaluated = inc.fullResolve(undo)
 		dirtyCount = int(g.numLines)
 
@@ -452,6 +462,9 @@ func (inc *Incremental) Update(lay *layout.Layout) (*Result, error) {
 	sp.End()
 
 	reg.Counter("analysis.incremental_updates").Inc()
+	// Registered on every update so that a run without a resize
+	// reports an explicit 0; fullResolve counts.
+	reg.Counter("analysis.incremental_full_resolves").Add(0)
 	reg.Counter("analysis.incremental_closure").Add(uint64(evaluated))
 	reg.Counter("analysis.incremental_dirty_lines").Add(uint64(dirtyCount))
 	reg.Counter("analysis.incremental_total_lines").Add(uint64(g.numLines))
@@ -473,10 +486,10 @@ func (inc *Incremental) Update(lay *layout.Layout) (*Result, error) {
 }
 
 // fullResolve reconverges every reachable region from scratch, stealing
-// the previous state vectors into the undo. Used when the layout's size
-// changed (the vectors have the wrong length) and when a move dirtied
-// most cache sets.
+// the previous state vectors into the undo. Used only when the layout's
+// size changed, so the vectors have the wrong length.
 func (inc *Incremental) fullResolve(undo *undoState) (iterations, evaluated int) {
+	inc.cfg.Obs.Counter("analysis.incremental_full_resolves").Inc()
 	sg := inc.sg
 	for ri := range sg.regions {
 		if st := inc.fx.mustIn[ri]; st != nil {

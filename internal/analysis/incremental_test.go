@@ -8,6 +8,7 @@ import (
 	"impact/internal/interp"
 	"impact/internal/ir"
 	"impact/internal/layout"
+	"impact/internal/obs"
 	"impact/internal/profile"
 	"impact/internal/workload"
 )
@@ -138,6 +139,67 @@ func TestIncrementalRevert(t *testing.T) {
 		t.Fatalf("Update after Revert: %v", err)
 	}
 	sameResult(t, "post-revert", got, mustAnalyze(t, moved, w, acfg))
+
+	// A move that dirties every cache set: the random layout relocates
+	// every line of the program on a four-set cache. Each set still
+	// re-solves as its condensed system, and Revert then a repeated
+	// Update must land exactly on from-scratch analyses.
+	reg := obs.NewRegistry()
+	small := Config{Cache: cache.Config{SizeBytes: 64, BlockBytes: 16, Assoc: 1}, Obs: reg}
+	inc, err = NewIncremental(base, w, small)
+	if err != nil {
+		t.Fatalf("NewIncremental: %v", err)
+	}
+	shuffled := layout.Random(p, 1)
+	if _, err := inc.Update(shuffled); err != nil {
+		t.Fatalf("Update(random): %v", err)
+	}
+	dirty := reg.Counter("analysis.incremental_dirty_lines").Value()
+	if total := reg.Counter("analysis.incremental_total_lines").Value(); dirty != total {
+		t.Fatalf("random move dirtied %d of %d lines, want every set dirty", dirty, total)
+	}
+	if err := inc.Revert(); err != nil {
+		t.Fatalf("Revert(random): %v", err)
+	}
+	sameResult(t, "reverted random", inc.Result(), mustAnalyze(t, base, w, small))
+	got, err = inc.Update(shuffled)
+	if err != nil {
+		t.Fatalf("Update(random) after Revert: %v", err)
+	}
+	sameResult(t, "random after revert", got, mustAnalyze(t, shuffled, w, small))
+	if n := reg.Counter("analysis.incremental_full_resolves").Value(); n != 0 {
+		t.Errorf("same-size updates ran %d full re-solves, want 0", n)
+	}
+}
+
+// TestIncrementalResizeResolvesFully pins the one update that
+// reconverges the whole fixpoint: a layout of a different size changes
+// the line count, so every state vector changes shape. The result must
+// still equal a from-scratch analysis, before and after Revert.
+func TestIncrementalResizeResolvesFully(t *testing.T) {
+	p, w := buildLoopProgram(t)
+	reg := obs.NewRegistry()
+	acfg := Config{Cache: cache.Config{SizeBytes: 512, BlockBytes: 32, Assoc: 1}, Obs: reg}
+	base := layout.Natural(p)
+	inc, err := NewIncremental(base, w, acfg)
+	if err != nil {
+		t.Fatalf("NewIncremental: %v", err)
+	}
+	// A function swap whose code image is padded by three more lines.
+	padded := *swapFuncs(t, p, 0, 1)
+	padded.Total += 3 * 32
+	got, err := inc.Update(&padded)
+	if err != nil {
+		t.Fatalf("Update(padded): %v", err)
+	}
+	sameResult(t, "padded", got, mustAnalyze(t, &padded, w, acfg))
+	if n := reg.Counter("analysis.incremental_full_resolves").Value(); n < 1 {
+		t.Errorf("resizing update ran %d full re-solves, want at least 1", n)
+	}
+	if err := inc.Revert(); err != nil {
+		t.Fatalf("Revert: %v", err)
+	}
+	sameResult(t, "reverted", inc.Result(), mustAnalyze(t, base, w, acfg))
 }
 
 func TestIncrementalRejectsForeignProgram(t *testing.T) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"impact/internal/analysis"
 	"impact/internal/cache"
@@ -21,8 +22,9 @@ import (
 
 // analyzedEntry is one memoized static analysis.
 type analyzedEntry struct {
-	res *analysis.Result
-	err error
+	once sync.Once
+	res  *analysis.Result
+	err  error
 }
 
 // evalProfile profiles prog over b's single evaluation run — the
@@ -45,22 +47,27 @@ func (p *Prepared) EvalWeights() (*profile.Weights, error) {
 
 // Analyze returns the memoized static cache-behavior analysis of the
 // optimized layout under cfg, built from the evaluation-run weights.
+// Errors are cached too. The benchmark's mutex guards only the map
+// lookup; each geometry builds under its own once, so two geometries
+// of one benchmark analyse at once.
 func (p *Prepared) Analyze(cfg cache.Config) (*analysis.Result, error) {
 	w, err := p.EvalWeights()
 	if err != nil {
 		return nil, err
 	}
 	p.analyzedMu.Lock()
-	defer p.analyzedMu.Unlock()
 	if p.analyzed == nil {
 		p.analyzed = make(map[cache.Config]*analyzedEntry)
 	}
 	e, ok := p.analyzed[cfg]
 	if !ok {
 		e = &analyzedEntry{}
-		e.res, e.err = analysis.Analyze(p.Opt.Layout, w, analysis.Config{Cache: cfg})
 		p.analyzed[cfg] = e
 	}
+	p.analyzedMu.Unlock()
+	e.once.Do(func() {
+		e.res, e.err = analysis.Analyze(p.Opt.Layout, w, analysis.Config{Cache: cfg})
+	})
 	return e.res, e.err
 }
 
@@ -89,43 +96,44 @@ func (r BoundRow) OK() bool {
 // BoundCheck analyses every prepared benchmark's optimized layout
 // under every Table-1 geometry (direct-mapped, the organisation the
 // paper optimizes for) and pairs the static bounds with the simulated
-// miss count of the same evaluation run.
+// miss count of the same evaluation run. The simulations run as one
+// batch, then each (geometry, benchmark) analysis is one task on the
+// suite's pool; rows come out geometry-major, benchmarks in suite
+// order.
 func BoundCheck(s *Suite) ([]BoundRow, error) {
-	var reqs []SimRequest
+	var geoms []cache.Config
 	for _, cs := range smith.CacheSizes {
 		for _, bs := range smith.BlockSizes {
-			for _, p := range s.Items {
-				reqs = append(reqs, SimRequest{p.OptTrace, cache.Config{SizeBytes: cs, BlockBytes: bs, Assoc: 1}})
-			}
+			geoms = append(geoms, cache.Config{SizeBytes: cs, BlockBytes: bs, Assoc: 1})
+		}
+	}
+	n := len(s.Items)
+	reqs := make([]SimRequest, 0, len(geoms)*n)
+	for _, g := range geoms {
+		for _, p := range s.Items {
+			reqs = append(reqs, SimRequest{p.OptTrace, g})
 		}
 	}
 	stats, err := s.engine().Batch(reqs)
 	if err != nil {
 		return nil, err
 	}
-	var rows []BoundRow
-	i := 0
-	for _, cs := range smith.CacheSizes {
-		for _, bs := range smith.BlockSizes {
-			for _, p := range s.Items {
-				res, err := p.Analyze(cache.Config{SizeBytes: cs, BlockBytes: bs, Assoc: 1})
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", p.Name(), err)
-				}
-				rows = append(rows, BoundRow{
-					Name:       p.Name(),
-					CacheBytes: cs, BlockBytes: bs,
-					Lower:    res.Bounds.Lower,
-					Measured: stats[i].Misses,
-					Upper:    res.Bounds.Upper,
-					Accesses: res.Bounds.Accesses,
-					Exact:    res.Bounds.Exact,
-				})
-				i++
-			}
+	return collect(s.engine(), len(reqs), func(_ worker, i int) (BoundRow, error) {
+		p, g := s.Items[i%n], geoms[i/n]
+		res, err := p.Analyze(g)
+		if err != nil {
+			return BoundRow{}, fmt.Errorf("%s: %w", p.Name(), err)
 		}
-	}
-	return rows, nil
+		return BoundRow{
+			Name:       p.Name(),
+			CacheBytes: g.SizeBytes, BlockBytes: g.BlockBytes,
+			Lower:    res.Bounds.Lower,
+			Measured: stats[i].Misses,
+			Upper:    res.Bounds.Upper,
+			Accesses: res.Bounds.Accesses,
+			Exact:    res.Bounds.Exact,
+		}, nil
+	})
 }
 
 // BoundErr returns nil when every row honours the bracket invariant,

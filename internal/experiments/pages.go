@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"impact/internal/analysis"
 	"impact/internal/paging"
@@ -16,28 +17,33 @@ import (
 
 // pageEntry is one memoized static page analysis.
 type pageEntry struct {
-	res *analysis.PageResult
-	err error
+	once sync.Once
+	res  *analysis.PageResult
+	err  error
 }
 
 // AnalyzePages returns the memoized static page-level analysis of the
 // optimized layout under cfg, built from the evaluation-run weights.
+// Like Analyze, it caches errors and builds each geometry under its own
+// once, holding the benchmark's mutex only for the map lookup.
 func (p *Prepared) AnalyzePages(cfg paging.Config) (*analysis.PageResult, error) {
 	w, err := p.EvalWeights()
 	if err != nil {
 		return nil, err
 	}
 	p.pagesMu.Lock()
-	defer p.pagesMu.Unlock()
 	if p.pages == nil {
 		p.pages = make(map[paging.Config]*pageEntry)
 	}
 	e, ok := p.pages[cfg]
 	if !ok {
 		e = &pageEntry{}
-		e.res, e.err = analysis.AnalyzePages(p.Opt.Layout, w, analysis.PageConfig{Paging: cfg})
 		p.pages[cfg] = e
 	}
+	p.pagesMu.Unlock()
+	e.once.Do(func() {
+		e.res, e.err = analysis.AnalyzePages(p.Opt.Layout, w, analysis.PageConfig{Paging: cfg})
+	})
 	return e.res, e.err
 }
 
@@ -83,46 +89,48 @@ func (r PageBoundRow) OK() bool {
 // PageBoundCheck analyses every prepared benchmark's optimized layout
 // under every PageBoundSizes x PageBoundFrames paging geometry and
 // pairs the static fault bounds with the demand-paging simulation of
-// the same evaluation run.
+// the same evaluation run. Each (page size, frames, benchmark) row is
+// one task on the suite's pool; rows come out in that order, benchmarks
+// in suite order.
 func PageBoundCheck(s *Suite) ([]PageBoundRow, error) {
-	var rows []PageBoundRow
-	for _, ps := range PageBoundSizes {
-		// The working set depends on the page size only; compute it
-		// once per benchmark and share it across frame counts.
-		ws := make(map[string]float64, len(s.Items))
-		for _, p := range s.Items {
-			w, err := paging.WorkingSet(p.OptTrace, ps, ExtPagingWindow)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", p.Name(), err)
-			}
-			ws[p.Name()] = w
+	n, nf := len(s.Items), len(PageBoundFrames)
+	// The working set depends on the page size only: one task per
+	// (page size, benchmark), shared across frame counts.
+	ws, err := collect(s.engine(), len(PageBoundSizes)*n, func(_ worker, i int) (float64, error) {
+		p := s.Items[i%n]
+		w, err := paging.WorkingSet(p.OptTrace, PageBoundSizes[i/n], ExtPagingWindow)
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", p.Name(), err)
 		}
-		for _, fr := range PageBoundFrames {
-			cfg := paging.Config{PageBytes: ps, Frames: fr}
-			for _, p := range s.Items {
-				res, err := p.AnalyzePages(cfg)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", p.Name(), err)
-				}
-				st, err := paging.Simulate(cfg, p.OptTrace)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", p.Name(), err)
-				}
-				rows = append(rows, PageBoundRow{
-					Name:      p.Name(),
-					PageBytes: ps, Frames: fr,
-					Lower:         res.Bounds.Lower,
-					Measured:      st.Faults,
-					Upper:         res.Bounds.Upper,
-					StaticPages:   res.Report.ExecPages,
-					MeasuredPages: st.PagesTouched,
-					WS:            ws[p.Name()],
-					Exact:         res.Bounds.Exact,
-				})
-			}
-		}
+		return w, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	return collect(s.engine(), len(PageBoundSizes)*nf*n, func(_ worker, i int) (PageBoundRow, error) {
+		si, j := i/(nf*n), i%n
+		p := s.Items[j]
+		cfg := paging.Config{PageBytes: PageBoundSizes[si], Frames: PageBoundFrames[i/n%nf]}
+		res, err := p.AnalyzePages(cfg)
+		if err != nil {
+			return PageBoundRow{}, fmt.Errorf("%s: %w", p.Name(), err)
+		}
+		st, err := paging.Simulate(cfg, p.OptTrace)
+		if err != nil {
+			return PageBoundRow{}, fmt.Errorf("%s: %w", p.Name(), err)
+		}
+		return PageBoundRow{
+			Name:      p.Name(),
+			PageBytes: cfg.PageBytes, Frames: cfg.Frames,
+			Lower:         res.Bounds.Lower,
+			Measured:      st.Faults,
+			Upper:         res.Bounds.Upper,
+			StaticPages:   res.Report.ExecPages,
+			MeasuredPages: st.PagesTouched,
+			WS:            ws[si*n+j],
+			Exact:         res.Bounds.Exact,
+		}, nil
+	})
 }
 
 // PageBoundErr returns nil when every row honours the bracket and

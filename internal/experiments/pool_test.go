@@ -6,7 +6,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"impact/internal/cache"
 	"impact/internal/obs"
+	"impact/internal/paging"
+	"impact/internal/search"
 )
 
 // poolScale is the dynamic scale of the suites the pool tests prepare
@@ -62,6 +65,13 @@ func TestBuildersWorkerCountDeterminism(t *testing.T) {
 		{"ext-prefetch", func(s *Suite) (any, error) { return ExtPrefetch(s) }},
 		{"ext-hierarchy", func(s *Suite) (any, error) { return ExtHierarchy(s) }},
 		{"ext-extended", func(*Suite) (any, error) { return ExtExtendedSuite(poolScale) }},
+		{"analyze", func(s *Suite) (any, error) { return BoundCheck(s) }},
+		{"analyze-pages", func(s *Suite) (any, error) { return PageBoundCheck(s) }},
+		{"search", func(s *Suite) (any, error) {
+			pcfg := paging.Config{PageBytes: 4096, Frames: 8}
+			return SearchCompare(s, cache.Config{SizeBytes: 512, BlockBytes: 64, Assoc: 1},
+				search.Config{Seed: 1, Budget: 24, Paging: &pcfg})
+		}},
 	}
 	rows := make(map[int][]any)
 	for _, workers := range []int{1, 4} {

@@ -49,146 +49,163 @@ type SearchRow struct {
 // (stream-simulation of the incumbent) unless the caller set one.
 // Every searched layout is re-verified with the strict layout
 // analyzers before it is priced.
+//
+// Each benchmark is one task on the suite's pool, and its search,
+// checkpoints, verification and pricing all run on the task's lane.
+// The suite engine's worker budget is split between the pool and the
+// search portfolios: with L = min(workers, benchmarks) lanes, each
+// search races max(1, workers/L) portfolio workers, so busy goroutines
+// never exceed the worker count. cfg.Workers is ignored; the search
+// result is identical for every portfolio worker count. A caller's
+// Checkpoint may be called from several benchmarks' tasks at once.
 func SearchCompare(s *Suite, geom cache.Config, cfg search.Config) ([]SearchRow, error) {
-	rows := make([]SearchRow, 0, len(s.Items))
-	for _, p := range s.Items {
-		w, err := p.EvalWeights()
-		if err != nil {
-			return nil, err
-		}
-		greedySt, err := cache.Simulate(geom, p.OptTrace)
-		if err != nil {
-			return nil, err
-		}
+	e := s.engine()
+	workers := e.workers()
+	lanes := max(1, min(workers, len(s.Items)))
+	cfg.Cache = geom
+	cfg.Workers = max(1, workers/lanes)
+	return collect(e, len(s.Items), func(w worker, i int) (SearchRow, error) {
+		return searchOne(s.Items[i], w, cfg)
+	})
+}
 
-		simulate := func(lay *layout.Layout) (uint64, error) {
-			sim, err := cache.NewSinkSimulator(geom)
+// searchOne is SearchCompare's task for one benchmark, run on w's lane.
+func searchOne(p *Prepared, w worker, cfg search.Config) (SearchRow, error) {
+	geom := cfg.Cache
+	weights, err := p.EvalWeights()
+	if err != nil {
+		return SearchRow{}, err
+	}
+	greedySt, err := w.simulate(geom, p.OptTrace)
+	if err != nil {
+		return SearchRow{}, err
+	}
+
+	simulate := func(lay *layout.Layout) (uint64, error) {
+		sim, err := cache.NewSinkSimulator(geom)
+		if err != nil {
+			return 0, err
+		}
+		if _, err := layout.Stream(lay, p.Bench.EvalSeed, p.Bench.EvalConfig(), sim); err != nil {
+			return 0, err
+		}
+		return sim.Stats()[0].Misses, nil
+	}
+
+	cfg.Lane = w.lane
+	if cfg.Checkpoint == nil {
+		cfg.Checkpoint = simulate
+	}
+	res, err := search.Optimize(search.Input{
+		Prog: p.Opt.Prog, Weights: weights,
+		Orders: p.Opt.Orders, Global: p.Opt.GlobalOrder,
+		SplitCold: true,
+	}, cfg)
+	if err != nil {
+		return SearchRow{}, fmt.Errorf("%s: %w", p.Name(), err)
+	}
+
+	// Every layout the search emits must satisfy the same layout
+	// invariants as the greedy pipeline output, checked strictly.
+	rep := check.Run(&check.Unit{
+		Stage: check.StageSearch, Prog: p.Opt.Prog, Weights: p.Opt.Weights,
+		Traces: p.Opt.Traces, MinProb: traceselect.DefaultMinProb,
+		Orders: p.Opt.Orders, Global: &res.Order,
+		Layout: res.Layout, EffectiveBytes: p.Opt.EffectiveBytes,
+		TraceLayout: true, SplitCold: true,
+	}, check.ForStage(check.StageSearch), cfg.Obs)
+	if err := rep.Err(); err != nil {
+		return SearchRow{}, fmt.Errorf("%s: searched layout failed verification: %w", p.Name(), err)
+	}
+
+	row := SearchRow{
+		Name:        p.Name(),
+		GreedyUpper: res.Initial.Bounds.Upper,
+		SearchUpper: res.Analysis.Bounds.Upper,
+		Evals:       res.Evals,
+		Accepted:    res.Accepted,
+		Improved:    res.Improved,
+	}
+	row.GreedyMiss = float64(greedySt.Misses) / float64(greedySt.Accesses)
+	searchMisses := greedySt.Misses
+	adopted := false
+	if res.Improved {
+		m, err := simulate(res.Layout)
+		if err != nil {
+			return SearchRow{}, fmt.Errorf("%s: simulating searched layout: %w", p.Name(), err)
+		}
+		// The simulator has the last word: adopt the searched
+		// layout only when it measures no worse than greedy.
+		if m <= greedySt.Misses {
+			searchMisses = m
+			adopted = true
+		}
+	}
+	if cfg.Paging != nil {
+		// Price both layouts' paging behaviour too. The climbs'
+		// adoption decision stays cache-first (the lexicographic
+		// objective's order); only the page-refined variant below
+		// can trade, and the simulator arbitrates the trade.
+		gp, err := paging.Simulate(*cfg.Paging, p.OptTrace)
+		if err != nil {
+			return SearchRow{}, fmt.Errorf("%s: %w", p.Name(), err)
+		}
+		row.GreedyFaults = gp.Faults
+		row.SearchFaults = gp.Faults
+		faultsOf := func(lay *layout.Layout) (uint64, error) {
+			sim, err := paging.NewSimulator(*cfg.Paging)
 			if err != nil {
 				return 0, err
 			}
 			if _, err := layout.Stream(lay, p.Bench.EvalSeed, p.Bench.EvalConfig(), sim); err != nil {
 				return 0, err
 			}
-			return sim.Stats()[0].Misses, nil
+			return sim.Stats().Faults, nil
 		}
-
-		scfg := cfg
-		scfg.Cache = geom
-		if scfg.Checkpoint == nil {
-			scfg.Checkpoint = simulate
-		}
-		res, err := search.Optimize(search.Input{
-			Prog: p.Opt.Prog, Weights: w,
-			Orders: p.Opt.Orders, Global: p.Opt.GlobalOrder,
-			SplitCold: true,
-		}, scfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name(), err)
-		}
-
-		// Every layout the search emits must satisfy the same layout
-		// invariants as the greedy pipeline output, checked strictly.
-		rep := check.Run(&check.Unit{
-			Stage: check.StageSearch, Prog: p.Opt.Prog, Weights: p.Opt.Weights,
-			Traces: p.Opt.Traces, MinProb: traceselect.DefaultMinProb,
-			Orders: p.Opt.Orders, Global: &res.Order,
-			Layout: res.Layout, EffectiveBytes: p.Opt.EffectiveBytes,
-			TraceLayout: true, SplitCold: true,
-		}, check.ForStage(check.StageSearch), cfg.Obs)
-		if err := rep.Err(); err != nil {
-			return nil, fmt.Errorf("%s: searched layout failed verification: %w", p.Name(), err)
-		}
-
-		row := SearchRow{
-			Name:        p.Name(),
-			GreedyUpper: res.Initial.Bounds.Upper,
-			SearchUpper: res.Analysis.Bounds.Upper,
-			Evals:       res.Evals,
-			Accepted:    res.Accepted,
-			Improved:    res.Improved,
-		}
-		row.GreedyMiss = float64(greedySt.Misses) / float64(greedySt.Accesses)
-		searchMisses := greedySt.Misses
-		adopted := false
-		if res.Improved {
-			m, err := simulate(res.Layout)
+		if adopted {
+			f, err := faultsOf(res.Layout)
 			if err != nil {
-				return nil, fmt.Errorf("%s: simulating searched layout: %w", p.Name(), err)
+				return SearchRow{}, fmt.Errorf("%s: paging searched layout: %w", p.Name(), err)
 			}
-			// The simulator has the last word: adopt the searched
-			// layout only when it measures no worse than greedy.
-			if m <= greedySt.Misses {
+			row.SearchFaults = f
+		}
+		// The page-refined variant packed the executed footprint
+		// into fewer static pages for a sliver of static cache
+		// headroom. Adopt it only when the simulator confirms the
+		// trade is free: measured misses still no worse than
+		// greedy, measured faults strictly below the layout chosen
+		// so far — enabling paging can improve the fault column
+		// but never costs the miss column its greedy baseline.
+		if ref := res.PageRefined; ref != nil {
+			rep := check.Run(&check.Unit{
+				Stage: check.StageSearch, Prog: p.Opt.Prog, Weights: p.Opt.Weights,
+				Traces: p.Opt.Traces, MinProb: traceselect.DefaultMinProb,
+				Orders: p.Opt.Orders, Global: &ref.Order,
+				Layout: ref.Layout, EffectiveBytes: p.Opt.EffectiveBytes,
+				TraceLayout: true, SplitCold: true,
+			}, check.ForStage(check.StageSearch), cfg.Obs)
+			if err := rep.Err(); err != nil {
+				return SearchRow{}, fmt.Errorf("%s: page-refined layout failed verification: %w", p.Name(), err)
+			}
+			m, err := simulate(ref.Layout)
+			if err != nil {
+				return SearchRow{}, fmt.Errorf("%s: simulating page-refined layout: %w", p.Name(), err)
+			}
+			f, err := faultsOf(ref.Layout)
+			if err != nil {
+				return SearchRow{}, fmt.Errorf("%s: paging page-refined layout: %w", p.Name(), err)
+			}
+			if m <= greedySt.Misses && f < row.SearchFaults {
 				searchMisses = m
-				adopted = true
-			}
-		}
-		if cfg.Paging != nil {
-			// Price both layouts' paging behaviour too. The climbs'
-			// adoption decision stays cache-first (the lexicographic
-			// objective's order); only the page-refined variant below
-			// can trade, and the simulator arbitrates the trade.
-			gp, err := paging.Simulate(*cfg.Paging, p.OptTrace)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", p.Name(), err)
-			}
-			row.GreedyFaults = gp.Faults
-			row.SearchFaults = gp.Faults
-			faultsOf := func(lay *layout.Layout) (uint64, error) {
-				sim, err := paging.NewSimulator(*cfg.Paging)
-				if err != nil {
-					return 0, err
-				}
-				if _, err := layout.Stream(lay, p.Bench.EvalSeed, p.Bench.EvalConfig(), sim); err != nil {
-					return 0, err
-				}
-				return sim.Stats().Faults, nil
-			}
-			if adopted {
-				f, err := faultsOf(res.Layout)
-				if err != nil {
-					return nil, fmt.Errorf("%s: paging searched layout: %w", p.Name(), err)
-				}
 				row.SearchFaults = f
+				row.SearchUpper = ref.Analysis.Bounds.Upper
 			}
-			// The page-refined variant packed the executed footprint
-			// into fewer static pages for a sliver of static cache
-			// headroom. Adopt it only when the simulator confirms the
-			// trade is free: measured misses still no worse than
-			// greedy, measured faults strictly below the layout chosen
-			// so far — enabling paging can improve the fault column
-			// but never costs the miss column its greedy baseline.
-			if ref := res.PageRefined; ref != nil {
-				rep := check.Run(&check.Unit{
-					Stage: check.StageSearch, Prog: p.Opt.Prog, Weights: p.Opt.Weights,
-					Traces: p.Opt.Traces, MinProb: traceselect.DefaultMinProb,
-					Orders: p.Opt.Orders, Global: &ref.Order,
-					Layout: ref.Layout, EffectiveBytes: p.Opt.EffectiveBytes,
-					TraceLayout: true, SplitCold: true,
-				}, check.ForStage(check.StageSearch), cfg.Obs)
-				if err := rep.Err(); err != nil {
-					return nil, fmt.Errorf("%s: page-refined layout failed verification: %w", p.Name(), err)
-				}
-				m, err := simulate(ref.Layout)
-				if err != nil {
-					return nil, fmt.Errorf("%s: simulating page-refined layout: %w", p.Name(), err)
-				}
-				f, err := faultsOf(ref.Layout)
-				if err != nil {
-					return nil, fmt.Errorf("%s: paging page-refined layout: %w", p.Name(), err)
-				}
-				if m <= greedySt.Misses && f < row.SearchFaults {
-					searchMisses = m
-					row.SearchFaults = f
-					row.SearchUpper = ref.Analysis.Bounds.Upper
-				}
-			}
-			row.PageWon = row.SearchFaults < row.GreedyFaults
 		}
-		row.SearchMiss = float64(searchMisses) / float64(greedySt.Accesses)
-		row.Won = searchMisses < greedySt.Misses
-		rows = append(rows, row)
+		row.PageWon = row.SearchFaults < row.GreedyFaults
 	}
-	return rows, nil
+	row.SearchMiss = float64(searchMisses) / float64(greedySt.Accesses)
+	row.Won = searchMisses < greedySt.Misses
+	return row, nil
 }
 
 // RenderSearchCompare formats the comparison as a text table. pcfg,

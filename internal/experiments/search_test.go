@@ -8,6 +8,7 @@ import (
 	"impact/internal/analysis"
 	"impact/internal/cache"
 	"impact/internal/ir"
+	"impact/internal/obs"
 	"impact/internal/search"
 	"impact/internal/smith"
 )
@@ -18,12 +19,22 @@ import (
 // 3 of the 10 benchmarks — with every emitted layout passing the
 // strict layout analyzers (SearchCompare verifies each one) and the
 // adopted layout never measuring worse than greedy on any benchmark.
+// Every incremental re-analysis the searches make must take the
+// condensed per-set path: a same-size layout never re-solves the whole
+// fixpoint.
 func TestSearchCompareBeatsGreedy(t *testing.T) {
 	s := testSuite(t)
 	geom := cache.Config{SizeBytes: 512, BlockBytes: 64, Assoc: 1}
-	rows, err := SearchCompare(s, geom, search.Config{Seed: 1, Budget: 160})
+	reg := obs.NewRegistry()
+	rows, err := SearchCompare(s, geom, search.Config{Seed: 1, Budget: 160, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := reg.Counter("analysis.incremental_updates").Value(); n == 0 {
+		t.Fatal("the searches made no incremental updates")
+	}
+	if n := reg.Counter("analysis.incremental_full_resolves").Value(); n != 0 {
+		t.Errorf("the searches ran %d full re-solves, want 0", n)
 	}
 	if len(rows) != len(s.Items) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(s.Items))
